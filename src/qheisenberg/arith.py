@@ -300,8 +300,15 @@ def pi_degree_snf(params: AlgebraParams) -> int:
     diag, _, _ = smith_normal_form(relation_matrix(params))
     h1 = diag[0]
     # the 3x3 twist matrix always has invariant factors (h1, h1, 0)
-    assert diag[1] == h1 and diag[2] == 0
-    assert h1 == math.gcd(params.s1 * params.k1, params.s2 * params.k2)
+    if diag[1] != h1 or diag[2] != 0:
+        raise ArithmeticError(
+            f"pi_degree_snf(m={params.m}, n={params.n}, k1={params.k1}, "
+            f"k2={params.k2}): invariant factors {diag} are not (h1, h1, 0)")
+    expected = math.gcd(params.s1 * params.k1, params.s2 * params.k2)
+    if h1 != expected:
+        raise ArithmeticError(
+            f"pi_degree_snf(m={params.m}, n={params.n}, k1={params.k1}, "
+            f"k2={params.k2}): first invariant factor {h1} != gcd {expected}")
     return params.l // math.gcd(h1, params.l)
 
 
@@ -318,7 +325,10 @@ def ord_formula(m: int, n: int, k1: int, k2: int) -> int:
     l = m * n // g
     v1 = l // math.gcd(n // g * k1 + m // g * k2, l)
     v2 = (m * n) // math.gcd(m * k2 + n * k1, m * n)
-    assert v1 == v2
+    if v1 != v2:
+        raise ArithmeticError(
+            f"ord_formula(m={m}, n={n}, k1={k1}, k2={k2}): the two order "
+            f"formulas disagree, {v1} != {v2}")
     return v1
 
 
@@ -327,7 +337,12 @@ def ord_pq(params: AlgebraParams, cross_check: bool = True) -> int:
     value = ord_formula(params.m, params.n, params.k1, params.k2)
     if cross_check:
         from .cyclotomic import order_of_unit
-        assert order_of_unit(params.p * params.q) == value
+        in_field = order_of_unit(params.p * params.q)
+        if in_field != value:
+            raise ArithmeticError(
+                f"ord_pq(m={params.m}, n={params.n}, k1={params.k1}, "
+                f"k2={params.k2}): formula gives {value}, the field element "
+                f"has order {in_field}")
     return value
 
 
@@ -340,7 +355,10 @@ def pair_rs(params: AlgebraParams) -> tuple[int, int]:
     g = math.gcd(params.k1, params.k2)
     r = (params.s2 * (params.k2 // g)) % params.m
     s = (params.s1 * (params.k1 // g)) % params.n
-    assert params.p ** r == params.q ** s
+    if params.p ** r != params.q ** s:
+        raise ArithmeticError(
+            f"pair_rs(m={params.m}, n={params.n}, k1={params.k1}, "
+            f"k2={params.k2}): p^{r} != q^{s}")
     return r, s
 
 
@@ -360,7 +378,7 @@ def _prime_factorization(n: int) -> dict[int, int]:
 
 
 def _is_odd_prime(n: int) -> bool:
-    return n > 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    return n > 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 @dataclasses.dataclass

@@ -24,6 +24,7 @@ e.g. --mu 3/2 or --lam "2*g^3".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -474,9 +475,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser unchanged, so one instance serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,9 +1,19 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-An element is stored as a vector of phi(N) rational coordinates with
-respect to the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1), always
-reduced modulo the N-th cyclotomic polynomial Phi_N.  All arithmetic is
-exact: rationals are `fractions.Fraction`, never floats.
+An element is stored in the usual number-field layout (Cohen, *A Course
+in Computational Algebraic Number Theory*, GTM 138, section 4.2): a tuple
+`num` of phi(N) integers over one positive integer `den`.  Coordinate i
+is num[i]/den with respect to the power basis 1, zeta_N, ...,
+zeta_N^(phi(N)-1), always reduced modulo the N-th cyclotomic polynomial
+Phi_N.  The pair is kept normalised, gcd(num[0], ..., num[-1], den) = 1,
+so zero is (0, ..., 0)/1 and equal elements have equal pairs.
+
+Phi_N is monic with integer coefficients, so reducing an integer
+polynomial modulo it stays in the integers: a product is an integer
+convolution, a reduction and one gcd.  Inverses are products of Galois
+conjugates over the rational norm.  All arithmetic is on Python ints;
+`fractions.Fraction` appears only when parsing input and in the `coeffs`
+view, and floats never do.
 
 Elements of different conductors are deliberately incomparable; use
 `embed` (or `common_field`) to move into a larger field first.
@@ -14,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from math import gcd
 
 Rational = Fraction
 
@@ -87,95 +98,173 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
+# --- integer kernels --------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _taps(conductor: int) -> tuple[tuple[int, int], ...]:
+    # t^phi = sum of c * t^i mod Phi_N, as the nonzero (i, c) pairs
+    poly = cyclotomic_polynomial(conductor)
+    return tuple((i, -c) for i, c in enumerate(poly[:-1]) if c)
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+def _reduce(conductor: int, vec: list[int]) -> list[int]:
+    """Reduce an integer polynomial (constant term first) modulo Phi_N.
 
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = a[:]
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    deg_b = len(b) - 1
-    lead = b[-1]
-    if len(a) < len(b):
-        return [], a
-    out = [Fraction(0)] * (len(a) - deg_b)
-    for i in range(len(out) - 1, -1, -1):
-        c = a[i + deg_b] / lead
-        out[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return _trim(out), _trim(a)
-
-
-def _reduce_mod_phi(conductor: int, vec: list[Fraction]) -> tuple[Fraction, ...]:
-    phi_poly = cyclotomic_polynomial(conductor)
-    k = len(phi_poly) - 1
+    Works in place on vec and returns exactly phi(N) coordinates.
+    """
+    k = euler_phi(conductor)
+    if len(vec) < k:
+        return vec + [0] * (k - len(vec))
+    taps = _taps(conductor)
     for d in range(len(vec) - 1, k - 1, -1):
         c = vec[d]
         if c:
-            vec[d] = Fraction(0)
             base = d - k
-            for i in range(k):
-                if phi_poly[i]:
-                    vec[base + i] -= c * phi_poly[i]
-    vec = vec[:k] if len(vec) >= k else vec + [Fraction(0)] * (k - len(vec))
-    return tuple(vec)
+            for i, t in taps:
+                vec[base + i] += c * t
+    del vec[k:]
+    return vec
+
+
+def _mul_reduced(conductor: int, a, b) -> list[int]:
+    # (a * b) mod Phi_N on integer coordinate vectors of length phi(N)
+    conv = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    conv[j] += x * y
+    return _reduce(conductor, conv)
+
+
+@functools.lru_cache(maxsize=None)
+def _zeta_table(conductor: int) -> tuple[tuple[int, ...], ...]:
+    # reduced integer coordinates of zeta_N^e for e = 0 .. N-1
+    return tuple(tuple(_reduce(conductor, [0] * e + [1]))
+                 for e in range(conductor))
+
+
+@functools.lru_cache(maxsize=None)
+def _conjugations(conductor: int) -> tuple:
+    """The maps zeta -> zeta^u for the units u != 1 mod N.
+
+    Each map is a tuple over the basis index i of the nonzero (r, c) with
+    zeta^(i*u) = sum of c * zeta^r in reduced coordinates.
+    """
+    table = _zeta_table(conductor)
+    k = euler_phi(conductor)
+    return tuple(
+        tuple(tuple((r, c) for r, c in enumerate(table[i * u % conductor]) if c)
+              for i in range(k))
+        for u in range(2, conductor) if gcd(u, conductor) == 1)
+
+
+def _conjugate(images: tuple, num: tuple[int, ...]) -> list[int]:
+    out = [0] * len(num)
+    for x, image in zip(num, images):
+        if x:
+            for r, c in image:
+                out[r] += x * c
+    return out
+
+
+def _over_common_den(coeffs) -> tuple[list[int], int]:
+    # rational coordinates as integer numerators over the lcm of their
+    # reduced denominators; that pair is already normalised
+    vec = [c if type(c) is int or type(c) is Fraction else Fraction(c)
+           for c in coeffs]
+    den = math.lcm(*[c.denominator for c in vec])
+    return [c.numerator * (den // c.denominator) for c in vec], den
+
+
+def _parse_coord(text):
+    # to_json writes "a" or "a/b" in ASCII digits; ints parse that without
+    # Fraction's regular expression, and any other text goes to Fraction,
+    # which accepts or rejects it exactly as before
+    if type(text) is str:
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit():
+            if not slash:
+                return int(num)
+            if den.isascii() and den.isdigit() and int(den):
+                return Fraction(int(num), int(den))
+    return Fraction(text)
+
+
+def _coord_str(x: int, den: int) -> str:
+    # the text of the reduced fraction x/den, as str(Fraction(x, den))
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 class CycNumber:
-    """An element of Q(zeta_N) in reduced power-basis coordinates.
+    """An element num/den of Q(zeta_N) in reduced power-basis coordinates.
+
+    `num` is a tuple of phi(N) ints and `den` a positive int, normalised
+    so that gcd(content(num), den) = 1; zero is (0, ..., 0)/1.  `coeffs`
+    gives the same coordinates as a tuple of Fractions.
 
     Supports field arithmetic through the usual operators; ints and
-    Fractions coerce to the element's own field.  Equality means: same
-    conductor, identical coordinates.
+    Fractions coerce to the element's own field.  Equality and hashing use
+    (conductor, num, den): same conductor, identical coordinates.
 
     >>> z = zeta_power(6, 1)
     >>> z + z**5     # zeta_6^5 = 1 - zeta_6
     CycNumber(6, ['1', '0'])
     >>> (1 + zeta_power(4, 1)).inverse()
     CycNumber(4, ['1/2', '-1/2'])
+    >>> a = CycNumber(6, ['1/2', '-1/3'])
+    >>> a.num, a.den
+    ((3, -2), 6)
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs) -> None:
         phi = euler_phi(conductor)
-        vec = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if len(vec) != phi:
+        num, den = _over_common_den(coeffs)
+        if len(num) != phi:
             raise ValueError(f"need exactly {phi} coordinates for conductor {conductor}")
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(vec))
+        _set_conductor(self, conductor)
+        _set_num(self, tuple(num))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNumber is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates num[i]/den as Fractions (a read-only view)."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.num)
+
+    @classmethod
+    def from_integers(cls, conductor: int, num, den: int = 1) -> CycNumber:
+        """Build num/den from phi(N) integer coordinates; den must be positive."""
+        if len(num) != euler_phi(conductor):
+            raise ValueError(
+                f"need exactly {euler_phi(conductor)} coordinates for conductor {conductor}")
+        if den < 1:
+            raise ValueError("denominator must be positive")
+        return _normalised(conductor, num, den)
+
     @classmethod
     def from_poly(cls, conductor: int, coeffs) -> CycNumber:
         """Build from polynomial coordinates of any length, reducing mod Phi_N."""
-        vec = [Fraction(c) for c in coeffs]
-        return cls(conductor, _reduce_mod_phi(conductor, vec))
+        num, den = _over_common_den(coeffs)
+        return _normalised(conductor, _reduce(conductor, num), den)
 
     @classmethod
     def from_rational(cls, conductor: int, value) -> CycNumber:
-        return cls.from_poly(conductor, [Fraction(value)])
+        if type(value) is not int and type(value) is not Fraction:
+            value = Fraction(value)
+        rest = (0,) * (euler_phi(conductor) - 1)
+        return _raw(conductor, (value.numerator,) + rest, value.denominator)
 
     @classmethod
     def zero(cls, conductor: int) -> CycNumber:
-        return cls.from_rational(conductor, 0)
+        return _raw(conductor, (0,) * euler_phi(conductor), 1)
 
     @classmethod
     def one(cls, conductor: int) -> CycNumber:
@@ -195,26 +284,34 @@ class CycNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not any(o.coeffs):
+        a, b = self.num, o.num
+        if not any(b):
             return self
-        if not any(self.coeffs):
+        if not any(a):
             return o
-        return CycNumber(self.conductor,
-                         [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        da, db = self.den, o.den
+        if da == db:
+            return _normalised(self.conductor, [x + y for x, y in zip(a, b)], da)
+        return _normalised(self.conductor,
+                           [x * db + y * da for x, y in zip(a, b)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self.conductor, [-a for a in self.coeffs])
+        return _raw(self.conductor, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not any(o.coeffs):
+        a, b = self.num, o.num
+        if not any(b):
             return self
-        return CycNumber(self.conductor,
-                         [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        da, db = self.den, o.den
+        if da == db:
+            return _normalised(self.conductor, [x - y for x, y in zip(a, b)], da)
+        return _normalised(self.conductor,
+                           [x * db - y * da for x, y in zip(a, b)], da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -226,46 +323,52 @@ class CycNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a, b = self.num, o.num
+        k = len(a)
         # zero and rational operands cover most matrix-entry products
-        if not any(a):
-            return self
-        if not any(b):
+        zb = b.count(0)
+        if zb == k:
             return o
-        if not any(b[1:]):
+        za = a.count(0)
+        if za == k:
+            return self
+        den = self.den * o.den
+        if zb == k - 1 and b[0]:
             c = b[0]
-            return CycNumber(self.conductor, [c * v for v in a])
-        if not any(a[1:]):
+            return _normalised(self.conductor, [c * x for x in a], den)
+        if za == k - 1 and a[0]:
             c = a[0]
-            return CycNumber(self.conductor, [c * v for v in b])
-        prod = _poly_mul(list(a), list(b))
-        return CycNumber(self.conductor, _reduce_mod_phi(self.conductor, prod))
+            return _normalised(self.conductor, [c * x for x in b], den)
+        return _normalised(self.conductor, _mul_reduced(self.conductor, a, b), den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycNumber:
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[t]."""
-        if self.is_zero():
+        """Multiplicative inverse: the product of the other Galois conjugates over the norm.
+
+        For a = num/den, P = prod of sigma_u(num) over the units u != 1 mod N
+        satisfies num * P = Norm(num), a nonzero integer, so
+        a^-1 = den * P / Norm(num).
+        """
+        num, den = self.num, self.den
+        k = len(num)
+        zeros = num.count(0)
+        if zeros == k:
             raise ZeroDivisionError("inverse of zero")
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        r0, r1 = list(self.coeffs), phi_poly
-        s0, s1 = [Fraction(1)], []
-        r0 = _trim(r0[:])
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            qs = _poly_mul(q, s1) if (q and s1) else []
-            new_s = [Fraction(0)] * max(len(s0), len(qs))
-            for i, c in enumerate(s0):
-                new_s[i] += c
-            for i, c in enumerate(qs):
-                new_s[i] -= c
-            s0, s1 = s1, _trim(new_s)
-        # r0 = gcd(self, Phi_N); Phi_N is irreducible so r0 is a nonzero constant
-        if len(r0) != 1:
-            raise ArithmeticError("gcd with the cyclotomic polynomial was not constant")
-        inv = [c / r0[0] for c in s0]
-        return CycNumber(self.conductor, _reduce_mod_phi(self.conductor, inv))
+        if zeros == k - 1 and num[0]:
+            norm, prod = num[0], (1,) + (0,) * (k - 1)
+        else:
+            prod = None
+            for images in _conjugations(self.conductor):
+                conj = _conjugate(images, num)
+                prod = conj if prod is None else _mul_reduced(self.conductor, prod, conj)
+            check = _mul_reduced(self.conductor, num, prod)
+            norm = check[0]
+            if any(check[1:]) or not norm:
+                raise ArithmeticError("norm of a nonzero element was not a nonzero rational")
+        if norm < 0:
+            norm, den = -norm, -den
+        return _normalised(self.conductor, [den * x for x in prod], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -297,24 +400,25 @@ class CycNumber:
         o = self._coerce(other) if not isinstance(other, CycNumber) else other
         if not isinstance(o, CycNumber):
             return NotImplemented
-        return self.conductor == o.conductor and self.coeffs == o.coeffs
+        return (self.conductor == o.conductor and self.den == o.den
+                and self.num == o.num)
 
     def __hash__(self):
-        return hash((self.conductor, self.coeffs))
+        return hash((self.conductor, self.num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def embed(self, conductor: int) -> CycNumber:
         """Image under Q(zeta_N) -> Q(zeta_M), zeta_N -> zeta_M^(M/N); needs N | M."""
@@ -322,31 +426,36 @@ class CycNumber:
             raise ConductorMismatch(
                 f"{self.conductor} does not divide {conductor}")
         scale = conductor // self.conductor
-        vec = [Fraction(0)] * ((len(self.coeffs) - 1) * scale + 1)
-        for i, c in enumerate(self.coeffs):
-            vec[i * scale] = c
-        return CycNumber(conductor, _reduce_mod_phi(conductor, vec))
+        vec = [0] * ((len(self.num) - 1) * scale + 1)
+        for i, x in enumerate(self.num):
+            vec[i * scale] = x
+        return _normalised(conductor, _reduce(conductor, vec), self.den)
+
+    def _coord_strs(self) -> list[str]:
+        den = self.den
+        return [_coord_str(x, den) for x in self.num]
 
     def to_json(self) -> dict:
-        return {"conductor": self.conductor,
-                "coeffs": [str(c) for c in self.coeffs]}
+        return {"conductor": self.conductor, "coeffs": self._coord_strs()}
 
     @classmethod
     def from_json(cls, data: dict) -> CycNumber:
-        return cls(data["conductor"], [Fraction(s) for s in data["coeffs"]])
+        return cls(data["conductor"], [_parse_coord(s) for s in data["coeffs"]])
 
     def __str__(self) -> str:
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
+        den = self.den
+        for i, x in enumerate(self.num):
+            if not x:
                 continue
+            c = _coord_str(x, den)
             if i == 0:
-                parts.append(str(c))
+                parts.append(c)
                 continue
             mon = f"z{self.conductor}" if i == 1 else f"z{self.conductor}^{i}"
-            if c == 1:
+            if x == den:
                 parts.append(mon)
-            elif c == -1:
+            elif x == -den:
                 parts.append(f"-{mon}")
             else:
                 parts.append(f"{c}*{mon}")
@@ -358,7 +467,30 @@ class CycNumber:
         return out
 
     def __repr__(self) -> str:
-        return f"CycNumber({self.conductor}, {[str(c) for c in self.coeffs]})"
+        return f"CycNumber({self.conductor}, {self._coord_strs()})"
+
+
+_set_conductor = CycNumber.conductor.__set__
+_set_num = CycNumber.num.__set__
+_set_den = CycNumber.den.__set__
+
+
+def _raw(conductor: int, num: tuple[int, ...], den: int) -> CycNumber:
+    # trusted constructor: num/den must already be normalised
+    obj = object.__new__(CycNumber)
+    _set_conductor(obj, conductor)
+    _set_num(obj, num)
+    _set_den(obj, den)
+    return obj
+
+
+def _normalised(conductor: int, num, den: int) -> CycNumber:
+    # divide out gcd(content(num), den); den > 0
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return _raw(conductor, tuple(x // g for x in num), den // g)
+    return _raw(conductor, tuple(num), den)
 
 
 def zeta_power(conductor: int, exponent: int) -> CycNumber:
@@ -367,10 +499,9 @@ def zeta_power(conductor: int, exponent: int) -> CycNumber:
     >>> zeta_power(4, 2)
     CycNumber(4, ['-1', '0'])
     """
-    j = exponent % conductor
-    vec = [Fraction(0)] * (j + 1)
-    vec[j] = Fraction(1)
-    return CycNumber.from_poly(conductor, vec)
+    if conductor < 1:
+        raise ValueError("conductor must be >= 1")
+    return _raw(conductor, _zeta_table(conductor)[exponent % conductor], 1)
 
 
 def order_of_unit(a: CycNumber) -> int | None:
@@ -403,21 +534,25 @@ def roots_of_unity(conductor: int) -> list[CycNumber]:
     for j in range(conductor):
         for sign in (1, -1):
             w = sign * zeta_power(conductor, j)
-            seen[w.coeffs] = w
+            seen.setdefault(w, w)
     return list(seen.values())
 
 
 def _integer_nth_root(value: int, n: int) -> int | None:
-    # exact n-th root of a nonnegative integer, or None
+    # exact n-th root of a nonnegative integer, or None.  Integer Newton
+    # steps from 2^ceil(bits/n), an overestimate, fall strictly until they
+    # reach floor(value^(1/n)).
     if value < 0:
         raise ValueError("negative value")
     if value in (0, 1):
         return value
-    r = round(value ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** n == value:
-            return cand
-    return None
+    x = 1 << -(-value.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + value // x ** (n - 1)) // n
+        if y >= x:
+            break
+        x = y
+    return x if x ** n == value else None
 
 
 def nth_root_in_field(a: CycNumber, n: int) -> CycNumber | None:
@@ -431,11 +566,10 @@ def nth_root_in_field(a: CycNumber, n: int) -> CycNumber | None:
         return CycNumber.zero(a.conductor)
     for w in roots_of_unity(a.conductor):
         t = a * (w ** n).inverse()
-        if t.is_rational():
-            r = t.rational_value()
-            if r > 0:
-                num = _integer_nth_root(r.numerator, n)
-                den = _integer_nth_root(r.denominator, n)
-                if num is not None and den is not None:
-                    return Fraction(num, den) * w
+        if t.is_rational() and t.num[0] > 0:
+            num = _integer_nth_root(t.num[0], n)
+            den = _integer_nth_root(t.den, n)
+            if num is not None and den is not None:
+                # w, a root of unity, has integer coordinates over den 1
+                return _normalised(a.conductor, [num * x for x in w.num], den)
     return None

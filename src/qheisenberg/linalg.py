@@ -12,7 +12,7 @@ structure.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .cyclotomic import CycNumber
 
@@ -287,18 +287,21 @@ class SparseEchelon:
 
     @staticmethod
     def _strip(vec: dict) -> dict:
+        # Scale by den_lcm / num_gcd so that every coordinate becomes an
+        # integer and all of them together are coprime.  For a normalised
+        # num/den the reduced coordinates have numerator gcd content(num)
+        # and denominator lcm den, so the integer pairs give both directly.
         num_gcd = 0
         den_lcm = 1
         for cn in vec.values():
-            for fr in cn.coeffs:
-                if fr:
-                    num_gcd = gcd(num_gcd, fr.numerator)
-                    den_lcm = den_lcm * fr.denominator // gcd(den_lcm,
-                                                              fr.denominator)
+            num_gcd = gcd(num_gcd, *cn.num)
+            if cn.den != 1:
+                den_lcm = lcm(den_lcm, cn.den)
         if num_gcd in (0, den_lcm):
             return vec
-        scale = Fraction(den_lcm, num_gcd)
-        return {k: v * scale for k, v in vec.items()}
+        return {k: CycNumber.from_integers(
+                    v.conductor, [x // num_gcd * (den_lcm // v.den) for x in v.num])
+                for k, v in vec.items()}
 
     def reduce(self, vec: dict) -> dict:
         vec = self._strip({k: v for k, v in vec.items() if not v.is_zero()})

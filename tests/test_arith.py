@@ -1,7 +1,11 @@
 """Integer layer: parameter admissibility, SNF, PI degree, ord(pq) classification."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
 
 import pytest
@@ -25,6 +29,7 @@ from qheisenberg.arith import (
     smith_normal_form,
     valid_pairs,
 )
+from qheisenberg.arith import _is_odd_prime
 from qheisenberg.cyclotomic import order_of_unit, zeta_power
 
 
@@ -200,6 +205,36 @@ def test_ord_pq_field_cross_check_up_to_24():
         assert ps.l % value == 0
         if math.gcd(ps.m, ps.n) == 1:
             assert value == ps.l
+
+
+def test_invariant_checks_survive_optimize_flag():
+    # the cross-check in ord_pq is an explicit raise, so it still runs
+    # under python -O, which strips assert statements
+    code = textwrap.dedent("""
+        import qheisenberg.cyclotomic as cyclotomic
+        from qheisenberg.arith import derive_params, ord_pq
+        assert False, "asserts are active"
+        cyclotomic.order_of_unit = lambda a: 5
+        try:
+            ord_pq(derive_params(2, 3, 1, 1))
+        except ArithmeticError as exc:
+            print(exc)
+        else:
+            print("no error")
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ("ord_pq(m=2, n=3, k1=1, k2=1): formula gives 6, "
+                                  "the field element has order 5")
+
+
+def test_is_odd_prime_small_values():
+    primes = [n for n in range(200) if n > 1 and all(n % d for d in range(2, n))]
+    assert [n for n in range(200) if _is_odd_prime(n)] == primes[1:]
 
 
 def test_ord_denominator_prime_structure():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from qheisenberg import cli
 from qheisenberg.arith import derive_params
 from qheisenberg.cli import (ExprError, build_parser, main, parse_expression,
                              parse_scalar)
@@ -238,3 +239,23 @@ class TestTableFormat:
         args = parser.parse_args(["pideg", "--m", "2", "--n", "3"])
         assert args.command == "pideg"
         assert args.k1 is None and args.k2 is None
+
+    def test_main_builds_parser_once(self, monkeypatch, tmp_path):
+        # one parser serves every call of main; replaying the goldens in
+        # reverse order shows that no call leaves state for the next
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._shared_parser.cache_clear()
+        try:
+            for case in reversed(GOLDEN_CASES):
+                code, out, err = run_case(case, str(tmp_path))
+                assert code == case["exit"], case["name"]
+                assert (out, err) == expected_output(case), case["name"]
+        finally:
+            cli._shared_parser.cache_clear()
+        assert len(built) == 1

@@ -1,10 +1,16 @@
-"""Exact-field layer: cyclotomic polynomials, arithmetic, embeddings."""
+"""Exact-field layer: cyclotomic polynomials, arithmetic, embeddings.
 
+The property tests check the integer num/den layout against sympy
+polynomials over QQ reduced mod Phi_N, for every conductor up to 30.
+"""
+
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from qheisenberg.cyclotomic import (
     CycNumber,
@@ -174,9 +180,140 @@ def test_serialization_roundtrip():
     assert CycNumber.from_json(data) == a
 
 
+@pytest.mark.parametrize("text", ["0", "-0", "007", "-12/8", "3/2", " 3 ", "+3",
+                                  "1.5", "2e3", "1_000", "\u0663"])
+def test_from_json_reads_what_fraction_reads(text):
+    got = CycNumber.from_json({"conductor": 4, "coeffs": [text, "1"]})
+    assert got.coeffs == (Fraction(text), Fraction(1))
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc", "-", "", "1/-2", "1/", "/2", "1 / 2", "\u00b2"])
+def test_from_json_rejects_what_fraction_rejects(text):
+    with pytest.raises((ValueError, ZeroDivisionError)) as theirs:
+        Fraction(text)
+    with pytest.raises(theirs.type):
+        CycNumber.from_json({"conductor": 4, "coeffs": [text, "1"]})
+
+
 def test_immutability_and_hash():
     a = zeta_power(6, 1)
     with pytest.raises(AttributeError):
         a.conductor = 12
     assert hash(a) == hash(zeta_power(6, 1))
     assert len({a, zeta_power(6, 1), zeta_power(6, 2)}) == 2
+
+
+def test_coeffs_view_and_integer_layout():
+    a = CycNumber(12, [Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7)])
+    assert a.num == (7, -42, 0, 10) and a.den == 14
+    assert a.coeffs == (Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7))
+    assert all(type(c) is Fraction for c in a.coeffs)
+    with pytest.raises(AttributeError):
+        a.coeffs = ()
+    zero = CycNumber(6, [Fraction(0, 5), 0])
+    assert zero.num == (0, 0) and zero.den == 1
+    assert CycNumber.from_integers(6, [4, -6], 8) == CycNumber(6, ["1/2", "-3/4"])
+    assert CycNumber.from_integers(6, (0, 0), 9).den == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 20])
+def test_integer_nth_root_exact(n):
+    from qheisenberg.cyclotomic import _integer_nth_root
+    for root in (0, 1, 2, 3, 10 ** 20 + 1, 10 ** 60 + 7, 2 ** 200 - 1):
+        assert _integer_nth_root(root ** n, n) == root
+        if root > 1 and n > 1:
+            assert _integer_nth_root(root ** n + 1, n) is None
+            assert _integer_nth_root(root ** n - 1, n) is None
+
+
+# --- properties against sympy polynomials reduced mod Phi_N -----------------
+
+_T = sympy.symbols("t")
+_PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+_COORD = st.one_of(st.just(Fraction(0)),
+                   st.fractions(min_value=-40, max_value=40, max_denominator=12))
+
+
+@st.composite
+def _element(draw, conductor=None):
+    n = draw(st.integers(1, 30)) if conductor is None else conductor
+    k = euler_phi(n)
+    return CycNumber(n, draw(st.lists(_COORD, min_size=k, max_size=k)))
+
+
+@st.composite
+def _pair(draw):
+    a = draw(_element())
+    return a, draw(_element(a.conductor))
+
+
+def _phi(n):
+    return sympy.Poly(sympy.cyclotomic_poly(n, _T), _T, domain=sympy.QQ)
+
+
+def _poly(x):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(x.coeffs)]
+    return sympy.Poly(coeffs, _T, domain=sympy.QQ)
+
+
+def _assert_normalised(x):
+    assert len(x.num) == euler_phi(x.conductor)
+    assert all(type(v) is int for v in x.num)
+    assert type(x.den) is int and x.den >= 1
+    assert math.gcd(x.den, *x.num) == 1
+
+
+@_PROPERTY_SETTINGS
+@given(_pair())
+def test_property_ring_operations_match_sympy(pair):
+    a, b = pair
+    phi = _phi(a.conductor)
+    pa, pb = _poly(a), _poly(b)
+    for got, want in ((a + b, pa + pb), (a - b, pa - pb), (a * b, (pa * pb).rem(phi)),
+                      (-a, -pa), (a * 3, pa * 3), (Fraction(2, 5) - a, Fraction(2, 5) - pa)):
+        _assert_normalised(got)
+        assert _poly(got) == want.rem(phi)
+
+
+@_PROPERTY_SETTINGS
+@given(_element(), st.integers(-3, 6))
+def test_property_inverse_and_pow_match_sympy(a, e):
+    phi = _phi(a.conductor)
+    pa = _poly(a)
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    inv = a.inverse()
+    _assert_normalised(inv)
+    assert _poly(inv) == pa.invert(phi)
+    power = a ** e
+    _assert_normalised(power)
+    base = pa if e >= 0 else pa.invert(phi)
+    want = sympy.Poly(1, _T, domain=sympy.QQ)
+    for _ in range(abs(e)):
+        want = (want * base).rem(phi)
+    assert _poly(power) == want
+
+
+@_PROPERTY_SETTINGS
+@given(_element(), st.integers(1, 30))
+def test_property_embed_matches_sympy(a, factor):
+    target = a.conductor * factor
+    if target > 30:
+        target = a.conductor
+    image = a.embed(target)
+    _assert_normalised(image)
+    scale = target // a.conductor
+    want = _poly(a).compose(sympy.Poly(_T ** scale, _T, domain=sympy.QQ))
+    assert _poly(image) == want.rem(_phi(target))
+
+
+@_PROPERTY_SETTINGS
+@given(_element())
+def test_property_views_round_trip(a):
+    _assert_normalised(a)
+    assert CycNumber(a.conductor, a.coeffs) == a
+    assert CycNumber.from_json(a.to_json()) == a
+    assert a.to_json()["coeffs"] == [str(c) for c in a.coeffs]
+    assert hash(CycNumber(a.conductor, a.coeffs)) == hash(a)

@@ -1,5 +1,6 @@
 """Exact matrix layer: arithmetic, reduction, span and hom-space solvers."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -188,6 +189,31 @@ class TestSparseEchelon:
                         if j in sol:
                             acc = acc + e * sol[j]
                     assert acc.is_zero()
+
+    def test_strip_matches_fraction_content_scaling(self):
+        # reference: scale by lcm of the coordinate denominators over gcd
+        # of the coordinate numerators, computed on Fractions
+        rng = random.Random(11)
+        for n in (3, 8, 12, 15):
+            for _ in range(30):
+                vec = {}
+                for key in range(rng.randint(1, 4)):
+                    coords = [Fraction(rng.choice((0, 1, -2, 6, 9, -15)),
+                                       rng.choice((1, 2, 3, 4, 9)))
+                              for _ in range(len(CycNumber.zero(n).num))]
+                    if any(coords):
+                        vec[key] = CycNumber(n, coords)
+                num_gcd, den_lcm = 0, 1
+                for v in vec.values():
+                    for fr in v.coeffs:
+                        num_gcd = math.gcd(num_gcd, fr.numerator)
+                        den_lcm = math.lcm(den_lcm, fr.denominator)
+                want = (vec if num_gcd in (0, den_lcm) else
+                        {k: v * Fraction(den_lcm, num_gcd) for k, v in vec.items()})
+                got = SparseEchelon._strip(vec)
+                assert got == want
+                assert all(v.den == 1 for v in got.values())
+                assert math.gcd(*(x for v in got.values() for x in v.num)) in (0, 1)
 
 
 class TestAlgebraSpan:

@@ -329,6 +329,28 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(direct_sum(rep, rep))
 
+    @pytest.mark.parametrize("kind, mu", [
+        (KIND_V1, 10 ** 20 + 1), (KIND_V2, 10 ** 20 + 1),
+        (KIND_V1, Fraction(10 ** 15 + 3, 7)), (KIND_V2, Fraction(10 ** 15 + 3, 7)),
+        (KIND_V1, 10 ** 17 + 3), (KIND_V2, 10 ** 17 + 3)])
+    def test_classify_large_cycle_scalar(self, kind, mu):
+        # the cycle scalar is the exact l-th root of Mx^l or My^l; these
+        # powers lie beyond the 53-bit precision of a float
+        desc = ModuleDescriptor(kind, mu=CycNumber.from_rational(6, mu),
+                                lam=CycNumber.from_rational(6, 2),
+                                gamma=(CycNumber.from_rational(6, 3)
+                                       if kind == KIND_V1 else None))
+        got = classify(build_from_descriptor(P23, desc))
+        assert got.kind == kind and got.mu == desc.mu
+        assert iso_test(kind, got, desc, P23)[0]
+
+    def test_classify_cycle_scalar_beyond_float_range(self):
+        # My^6 = mu^6 is about 10^360, above the largest float
+        mu = 10 ** 60 + 7
+        got = classify(build_v2(P23, mu, 2))
+        assert got.kind == KIND_V2
+        assert got.mu == CycNumber.from_rational(6, mu)
+
 
 class TestIsoV1:
     MU = zeta_power(6, 1)
