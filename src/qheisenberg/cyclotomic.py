@@ -177,21 +177,6 @@ def _over_common_den(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in vec], den
 
 
-def _parse_coord(text):
-    # to_json writes "a" or "a/b" in ASCII digits; ints parse that without
-    # Fraction's regular expression, and any other text goes to Fraction,
-    # which accepts or rejects it exactly as before
-    if type(text) is str:
-        num, slash, den = text.partition("/")
-        digits = num[1:] if num[:1] == "-" else num
-        if digits.isascii() and digits.isdigit():
-            if not slash:
-                return int(num)
-            if den.isascii() and den.isdigit() and int(den):
-                return Fraction(int(num), int(den))
-    return Fraction(text)
-
-
 def _coord_str(x: int, den: int) -> str:
     # the text of the reduced fraction x/den, as str(Fraction(x, den))
     g = gcd(x, den)
@@ -238,16 +223,6 @@ class CycNumber:
         """The coordinates num[i]/den as Fractions (a read-only view)."""
         den = self.den
         return tuple(Fraction(x, den) for x in self.num)
-
-    @classmethod
-    def from_integers(cls, conductor: int, num, den: int = 1) -> CycNumber:
-        """Build num/den from phi(N) integer coordinates; den must be positive."""
-        if len(num) != euler_phi(conductor):
-            raise ValueError(
-                f"need exactly {euler_phi(conductor)} coordinates for conductor {conductor}")
-        if den < 1:
-            raise ValueError("denominator must be positive")
-        return _normalised(conductor, num, den)
 
     @classmethod
     def from_poly(cls, conductor: int, coeffs) -> CycNumber:
@@ -440,7 +415,7 @@ class CycNumber:
 
     @classmethod
     def from_json(cls, data: dict) -> CycNumber:
-        return cls(data["conductor"], [_parse_coord(s) for s in data["coeffs"]])
+        return cls(data["conductor"], [Fraction(s) for s in data["coeffs"]])
 
     def __str__(self) -> str:
         parts = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _normalised
 
 
 class FieldMatrix:
@@ -299,8 +299,10 @@ class SparseEchelon:
                 den_lcm = lcm(den_lcm, cn.den)
         if num_gcd in (0, den_lcm):
             return vec
-        return {k: CycNumber.from_integers(
-                    v.conductor, [x // num_gcd * (den_lcm // v.den) for x in v.num])
+        # an integer row over den 1 is normalised already; _normalised skips
+        # the constructor's coercion and lcm pass on this hot path
+        return {k: _normalised(
+                    v.conductor, [x // num_gcd * (den_lcm // v.den) for x in v.num], 1)
                 for k, v in vec.items()}
 
     def reduce(self, vec: dict) -> dict:

@@ -180,21 +180,6 @@ def test_serialization_roundtrip():
     assert CycNumber.from_json(data) == a
 
 
-@pytest.mark.parametrize("text", ["0", "-0", "007", "-12/8", "3/2", " 3 ", "+3",
-                                  "1.5", "2e3", "1_000", "\u0663"])
-def test_from_json_reads_what_fraction_reads(text):
-    got = CycNumber.from_json({"conductor": 4, "coeffs": [text, "1"]})
-    assert got.coeffs == (Fraction(text), Fraction(1))
-
-
-@pytest.mark.parametrize("text", ["1/0", "abc", "-", "", "1/-2", "1/", "/2", "1 / 2", "\u00b2"])
-def test_from_json_rejects_what_fraction_rejects(text):
-    with pytest.raises((ValueError, ZeroDivisionError)) as theirs:
-        Fraction(text)
-    with pytest.raises(theirs.type):
-        CycNumber.from_json({"conductor": 4, "coeffs": [text, "1"]})
-
-
 def test_immutability_and_hash():
     a = zeta_power(6, 1)
     with pytest.raises(AttributeError):
@@ -212,8 +197,6 @@ def test_coeffs_view_and_integer_layout():
         a.coeffs = ()
     zero = CycNumber(6, [Fraction(0, 5), 0])
     assert zero.num == (0, 0) and zero.den == 1
-    assert CycNumber.from_integers(6, [4, -6], 8) == CycNumber(6, ["1/2", "-3/4"])
-    assert CycNumber.from_integers(6, (0, 0), 9).den == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 20])
