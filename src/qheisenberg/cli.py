@@ -492,7 +492,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvalidParameters, ConductorMismatch, ValueError,
-            ZeroDivisionError) as exc:
+            ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":

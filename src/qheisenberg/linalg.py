@@ -1,12 +1,14 @@
 """Exact linear algebra over cyclotomic fields.
 
-Dense matrices of CycNumber entries with Gauss-Jordan reduction, plus
-sparse workhorses for the two closure problems that dominate runtime:
-the dimension of a matrix algebra generated by a few matrices, and the
-space of intertwiners between two representations.  The sparse paths
-matter because the representation matrices here have at most one
-nonzero entry per row, and dense elimination would square away that
-structure.
+One sparse matrix type, `FieldMatrix`, holds every module matrix: each
+row keeps only its nonzero CycNumber entries.  The representation
+matrices here have at most one nonzero entry per row (diagonal, cyclic
+shift, or shift times diagonal), so products, sums and relation residuals
+cost O(nonzeros) rather than O(l^3).  On top of it sit Gauss-Jordan
+reduction and fraction-free sparse elimination for the two closure
+problems that dominate runtime: the dimension of a matrix algebra
+generated by a few matrices, and the space of intertwiners between two
+representations.
 """
 
 from __future__ import annotations
@@ -18,9 +20,16 @@ from .cyclotomic import CycNumber, _normalised
 
 
 class FieldMatrix:
-    """A rectangular matrix over Q(zeta_N), immutable, exact."""
+    """A rectangular matrix over Q(zeta_N), immutable, exact and sparse.
 
-    __slots__ = ("conductor", "rows")
+    Only the nonzero entries are stored: one {col: value} dict per row,
+    next to `shape` and `conductor`.  No zero is ever stored, so equal
+    matrices have equal row dicts and equality is structural.  The
+    constructor takes dense rows; `from_entries` takes the nonzero entries
+    by position.  `rows` and `m[i]` are dense read-only views.
+    """
+
+    __slots__ = ("conductor", "shape", "_rows")
 
     def __init__(self, rows, conductor: int | None = None):
         grid = []
@@ -38,81 +47,119 @@ class FieldMatrix:
             if sample is None:
                 raise ValueError("cannot infer conductor from scalar entries")
             conductor = sample.conductor
-        out = []
-        for row in grid:
-            new_row = []
-            for e in row:
-                if isinstance(e, CycNumber):
-                    if e.conductor != conductor:
-                        raise ValueError("mixed conductors in matrix")
-                    new_row.append(e)
-                else:
-                    new_row.append(CycNumber.from_rational(conductor, e))
-            out.append(tuple(new_row))
+        self._init_entries(len(grid), width,
+                           {(i, j): e for i, row in enumerate(grid)
+                            for j, e in enumerate(row)}, conductor)
+
+    def _init_entries(self, nrows: int, ncols: int, entries: dict,
+               conductor: int) -> FieldMatrix:
+        if nrows < 1 or ncols < 1:
+            raise ValueError("matrix needs at least one entry")
+        rows: list[dict] = [{} for _ in range(nrows)]
+        for (i, j), e in entries.items():
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise ValueError(f"entry ({i}, {j}) lies outside a "
+                                 f"{nrows} x {ncols} matrix")
+            if not isinstance(e, CycNumber):
+                e = CycNumber.from_rational(conductor, e)
+            elif e.conductor != conductor:
+                raise ValueError("mixed conductors in matrix")
+            if not e.is_zero():
+                rows[i][j] = e
+        return self._init_rows((nrows, ncols), rows, conductor)
+
+    def _init_rows(self, shape: tuple[int, int], rows,
+                   conductor: int) -> FieldMatrix:
+        # rows must hold one {col: nonzero CycNumber} dict per row
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "rows", tuple(out))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "_rows", tuple(rows))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldMatrix is immutable")
 
     @classmethod
+    def from_entries(cls, nrows: int, ncols: int, entries: dict,
+                     conductor: int) -> FieldMatrix:
+        """The nrows x ncols matrix with the given {(i, j): value} entries.
+
+        Values may be CycNumber, int or Fraction.  Zero values are dropped
+        and every position not given is zero.
+        """
+        return object.__new__(cls)._init_entries(nrows, ncols, entries, conductor)
+
+    @classmethod
     def identity(cls, n: int, conductor: int) -> FieldMatrix:
-        one = CycNumber.one(conductor)
-        zero = CycNumber.zero(conductor)
-        return cls([[one if i == j else zero for j in range(n)]
-                    for i in range(n)], conductor)
+        return cls.from_entries(n, n, {(i, i): 1 for i in range(n)}, conductor)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int, conductor: int) -> FieldMatrix:
-        zero = CycNumber.zero(conductor)
-        return cls([[zero] * ncols for _ in range(nrows)], conductor)
+        return cls.from_entries(nrows, ncols, {}, conductor)
 
     @classmethod
     def diagonal(cls, entries, conductor: int) -> FieldMatrix:
         entries = list(entries)
-        zero = CycNumber.zero(conductor)
-        return cls([[entries[i] if i == j else zero
-                     for j in range(len(entries))]
-                    for i in range(len(entries))], conductor)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.rows[0])
+        return cls.from_entries(len(entries), len(entries),
+                                {(i, i): e for i, e in enumerate(entries)},
+                                conductor)
 
     def __getitem__(self, i: int):
-        return self.rows[i]
+        """Row i as a dense tuple (a read-only view)."""
+        zero = CycNumber.zero(self.conductor)
+        row = self._rows[i]
+        return tuple(row.get(j, zero) for j in range(self.shape[1]))
+
+    @property
+    def rows(self) -> tuple:
+        """Every row as a dense tuple (a read-only view)."""
+        return tuple(self[i] for i in range(self.shape[0]))
 
     def __eq__(self, other):
         if not isinstance(other, FieldMatrix):
             return NotImplemented
-        return self.conductor == other.conductor and self.rows == other.rows
+        return (self.conductor == other.conductor and self.shape == other.shape
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.conductor, self.rows))
+        return hash((self.conductor, self.shape,
+                     tuple(frozenset(row.items()) for row in self._rows)))
 
     def __add__(self, other):
         if not isinstance(other, FieldMatrix):
             return NotImplemented
-        return FieldMatrix([[a + b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)],
-                           self.conductor)
+        if (other.shape, other.conductor) != (self.shape, self.conductor):
+            raise ValueError(f"cannot add {other.shape} over Q(zeta_{other.conductor})"
+                             f" to {self.shape} over Q(zeta_{self.conductor})")
+        out = []
+        for ra, rb in zip(self._rows, other._rows):
+            row = dict(ra)
+            for j, b in rb.items():
+                a = row.get(j)
+                v = b if a is None else a + b
+                if v.is_zero():
+                    del row[j]
+                else:
+                    row[j] = v
+            out.append(row)
+        return _make(self.shape, out, self.conductor)
 
     def __sub__(self, other):
         if not isinstance(other, FieldMatrix):
             return NotImplemented
-        return FieldMatrix([[a - b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)],
-                           self.conductor)
+        return self + -other
 
     def __neg__(self):
-        return FieldMatrix([[-a for a in row] for row in self.rows],
-                           self.conductor)
+        return _make(self.shape, [{j: -v for j, v in row.items()}
+                                  for row in self._rows], self.conductor)
 
     def scale(self, c) -> FieldMatrix:
         if not isinstance(c, CycNumber):
             c = CycNumber.from_rational(self.conductor, c)
-        return FieldMatrix([[a * c for a in row] for row in self.rows],
-                           self.conductor)
+        if c.is_zero():
+            return FieldMatrix.zeros(*self.shape, self.conductor)
+        return _make(self.shape, [{j: v * c for j, v in row.items()}
+                                  for row in self._rows], self.conductor)
 
     def __mul__(self, other):
         if isinstance(other, FieldMatrix):
@@ -129,26 +176,18 @@ class FieldMatrix:
     __matmul__ = __mul__
 
     def _matmul(self, other: FieldMatrix) -> FieldMatrix:
-        n, k = self.shape
-        k2, m = other.shape
-        if k != k2:
+        if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch: {self.shape} x {other.shape}")
-        zero = CycNumber.zero(self.conductor)
-        out = [[zero] * m for _ in range(n)]
-        # skip zero entries: the representation matrices are mostly empty
-        for i in range(n):
-            row = self.rows[i]
-            target = out[i]
-            for t in range(k):
-                a = row[t]
-                if a.is_zero():
-                    continue
-                brow = other.rows[t]
-                for j in range(m):
-                    b = brow[j]
-                    if not b.is_zero():
-                        target[j] = target[j] + a * b
-        return FieldMatrix(out, self.conductor)
+        brows = other._rows
+        out = []
+        for row in self._rows:
+            acc: dict = {}
+            for t, a in row.items():
+                for j, b in brows[t].items():
+                    cur = acc.get(j)
+                    acc[j] = a * b if cur is None else cur + a * b
+            out.append({j: v for j, v in acc.items() if not v.is_zero()})
+        return _make((self.shape[0], other.shape[1]), out, self.conductor)
 
     def __pow__(self, e: int) -> FieldMatrix:
         n, m = self.shape
@@ -166,30 +205,28 @@ class FieldMatrix:
         return result
 
     def transpose(self) -> FieldMatrix:
-        return FieldMatrix(list(zip(*self.rows)), self.conductor)
+        n, m = self.shape
+        cols: list[dict] = [{} for _ in range(m)]
+        for i, row in enumerate(self._rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        return _make((m, n), cols, self.conductor)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
+        return not any(self._rows)
 
     def is_scalar(self) -> bool:
         n, m = self.shape
         if n != m:
             return False
-        c = self.rows[0][0]
-        for i in range(n):
-            for j in range(m):
-                e = self.rows[i][j]
-                if i == j:
-                    if e != c:
-                        return False
-                elif not e.is_zero():
-                    return False
-        return True
+        c = self._rows[0].get(0)
+        return all(row == ({} if c is None else {i: c})
+                   for i, row in enumerate(self._rows))
 
     def scalar_value(self) -> CycNumber:
         if not self.is_scalar():
             raise ValueError("matrix is not scalar")
-        return self.rows[0][0]
+        return self[0][0]
 
     def __str__(self) -> str:
         return "[" + ",\n ".join("[" + ", ".join(str(e) for e in row) + "]"
@@ -205,6 +242,11 @@ class FieldMatrix:
         return cls([[CycNumber.from_json(e) for e in row] for row in data])
 
 
+def _make(shape: tuple[int, int], rows, conductor: int) -> FieldMatrix:
+    # trusted constructor: rows hold no zero entries
+    return object.__new__(FieldMatrix)._init_rows(shape, rows, conductor)
+
+
 def row_reduce(mat: FieldMatrix):
     """Exact Gauss-Jordan.  Returns (rref, rank, nullspace basis).
 
@@ -215,20 +257,27 @@ def row_reduce(mat: FieldMatrix):
     conductor = mat.conductor
     zero = CycNumber.zero(conductor)
     one = CycNumber.one(conductor)
-    rows = [list(r) for r in mat.rows]
+    rows = [dict(r) for r in mat._rows]
     pivot_cols: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not rows[i][c].is_zero()), None)
+        pivot = next((i for i in range(r, nrows) if c in rows[i]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][c].inverse()
-        rows[r] = [e * inv for e in rows[r]]
+        prow = rows[r] = {j: e * inv for j, e in rows[r].items()}
         for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i].get(c) if i != r else None
+            if f is None:
+                continue
+            row = rows[i]
+            for j, b in prow.items():
+                v = row.get(j, zero) - f * b
+                if v.is_zero():
+                    row.pop(j, None)
+                else:
+                    row[j] = v
         pivot_cols.append(c)
         r += 1
         if r == nrows:
@@ -240,23 +289,14 @@ def row_reduce(mat: FieldMatrix):
         vec = [zero] * ncols
         vec[f] = one
         for t, c in enumerate(pivot_cols):
-            vec[c] = -rows[t][f]
+            vec[c] = -rows[t].get(f, zero)
         nullspace.append(tuple(vec))
-    return FieldMatrix(rows, conductor), rank, nullspace
+    return _make(mat.shape, rows, conductor), rank, nullspace
 
 
 def is_invertible(mat: FieldMatrix) -> bool:
     n, m = mat.shape
     return n == m and row_reduce(mat)[1] == n
-
-
-def kernel_vector(mat: FieldMatrix):
-    """Some nonzero row vector v with v*mat = 0, or None.
-
-    Row convention: left kernel, matching the row-module action.
-    """
-    _, _, null = row_reduce(mat.transpose())
-    return null[0] if null else None
 
 
 def scalar_of(mat: FieldMatrix) -> CycNumber | None:
@@ -362,11 +402,6 @@ class SparseEchelon:
         return basis
 
 
-def _sparse_rows(mat: FieldMatrix) -> list[list[tuple[int, CycNumber]]]:
-    return [[(j, e) for j, e in enumerate(row) if not e.is_zero()]
-            for row in mat.rows]
-
-
 def algebra_span_dim(mats: list[FieldMatrix]) -> int:
     """Dimension of the unital algebra generated by the given matrices.
 
@@ -384,17 +419,16 @@ def algebra_span_dim(mats: list[FieldMatrix]) -> int:
             raise ValueError("generator size mismatch")
         if g.conductor != conductor:
             raise ValueError("generator conductor mismatch")
-    gen_rows = [_sparse_rows(g) for g in mats]
     ech = SparseEchelon(conductor)
     one = CycNumber.one(conductor)
     ident = {(i, i): one for i in range(d)}
     pending = [ech.insert(dict(ident))]
     while pending:
         elem = pending.pop()
-        for g in gen_rows:
+        for g in mats:
             prod: dict = {}
             for (r, c), v in elem.items():
-                for j, w in g[c]:
+                for j, w in g._rows[c].items():
                     key = (r, j)
                     cur = prod.get(key)
                     nv = v * w if cur is None else cur + v * w
@@ -423,24 +457,15 @@ def matrix_hom_space(mats_a: list[FieldMatrix],
     conductor = mats_a[0].conductor
     ech = SparseEchelon(conductor)
     for a_mat, b_mat in zip(mats_a, mats_b):
-        for i in range(da):
-            for j in range(db):
-                eq: dict = {}
-                for t in range(da):
-                    v = a_mat.rows[i][t]
-                    if not v.is_zero():
-                        key = (t, j)
-                        eq[key] = eq.get(key, CycNumber.zero(conductor)) + v
-                for t in range(db):
-                    v = b_mat.rows[t][j]
-                    if not v.is_zero():
-                        key = (i, t)
-                        eq[key] = eq.get(key, CycNumber.zero(conductor)) - v
+        b_cols = b_mat.transpose()._rows
+        for i, a_row in enumerate(a_mat._rows):
+            for j, b_col in enumerate(b_cols):
+                # (A P)[i][j] - (P B)[i][j] = 0 in the unknowns P[t][s]
+                eq = {(t, j): v for t, v in a_row.items()}
+                for t, v in b_col.items():
+                    cur = eq.get((i, t))
+                    eq[(i, t)] = -v if cur is None else cur - v
                 ech.insert(eq)
     unknowns = [(r, c) for r in range(da) for c in range(db)]
-    zero = CycNumber.zero(conductor)
-    out = []
-    for sol in ech.kernel_basis(unknowns):
-        out.append(FieldMatrix([[sol.get((r, c), zero) for c in range(db)]
-                                for r in range(da)], conductor))
-    return out
+    return [FieldMatrix.from_entries(da, db, sol, conductor)
+            for sol in ech.kernel_basis(unknowns)]

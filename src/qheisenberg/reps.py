@@ -63,11 +63,20 @@ class MatrixRep:
 
     @classmethod
     def from_json(cls, data: dict) -> MatrixRep:
-        return cls(params=AlgebraParams.from_json(data["params"]),
-                   d=data["d"],
-                   Mx=FieldMatrix.from_json(data["Mx"]),
-                   My=FieldMatrix.from_json(data["My"]),
-                   Mz=FieldMatrix.from_json(data["Mz"]))
+        """Load a module file, checking every matrix against d and params."""
+        params = AlgebraParams.from_json(data["params"])
+        d = data["d"]
+        mats = {}
+        for name in ("Mx", "My", "Mz"):
+            mat = FieldMatrix.from_json(data[name])
+            if mat.shape != (d, d):
+                raise ValueError(f"{name} is {mat.shape[0]}x{mat.shape[1]}, "
+                                 f"but d is {d!r}")
+            if mat.conductor != params.conductor:
+                raise ValueError(f"{name} has entries in Q(zeta_{mat.conductor}), "
+                                 f"expected Q(zeta_{params.conductor})")
+            mats[name] = mat
+        return cls(params=params, d=d, **mats)
 
 
 @dataclass(frozen=True)
@@ -157,17 +166,14 @@ def build_v1(params: AlgebraParams, mu, lam, gamma) -> MatrixRep:
     pq_pow = _powers(pq, l + 1)
     mu_inv = mu.inverse()
     denom_inv = (pq - CycNumber.one(cond)).inverse()
-    zero = CycNumber.zero(cond)
     mz = FieldMatrix.diagonal([p_pow[k] * lam for k in range(l)], cond)
-    mx_rows = [[zero] * l for _ in range(l)]
-    my_rows = [[zero] * l for _ in range(l)]
-    for k in range(l):
-        mx_rows[k][(k + 1) % l] = mu
-        my_rows[k][(k - 1) % l] = (mu_inv * qinv_pow[k]
-                                   * (pq * gamma - pq_pow[k] * lam)
-                                   * denom_inv)
-    return MatrixRep(params, l, FieldMatrix(mx_rows, cond),
-                     FieldMatrix(my_rows, cond), mz)
+    mx = FieldMatrix.from_entries(l, l, {(k, (k + 1) % l): mu
+                                         for k in range(l)}, cond)
+    my = FieldMatrix.from_entries(l, l, {
+        (k, (k - 1) % l): (mu_inv * qinv_pow[k]
+                           * (pq * gamma - pq_pow[k] * lam) * denom_inv)
+        for k in range(l)}, cond)
+    return MatrixRep(params, l, mx, my, mz)
 
 
 def build_v2(params: AlgebraParams, mu, lam) -> MatrixRep:
@@ -182,16 +188,13 @@ def build_v2(params: AlgebraParams, mu, lam) -> MatrixRep:
     lam = _coerce_scalar(params, lam, "lam")
     pinv_pow = _powers(params.p.inverse(), l)
     mu_inv = mu.inverse()
-    zero = CycNumber.zero(cond)
     mz = FieldMatrix.diagonal([pinv_pow[k] * lam for k in range(l)], cond)
-    mx_rows = [[zero] * l for _ in range(l)]
-    my_rows = [[zero] * l for _ in range(l)]
-    for k in range(l):
-        my_rows[k][(k + 1) % l] = mu
-        if k > 0:
-            mx_rows[k][k - 1] = mu_inv * lam * pq_number(params, k)
-    return MatrixRep(params, l, FieldMatrix(mx_rows, cond),
-                     FieldMatrix(my_rows, cond), mz)
+    mx = FieldMatrix.from_entries(l, l, {
+        (k, k - 1): mu_inv * lam * pq_number(params, k)
+        for k in range(1, l)}, cond)
+    my = FieldMatrix.from_entries(l, l, {(k, (k + 1) % l): mu
+                                         for k in range(l)}, cond)
+    return MatrixRep(params, l, mx, my, mz)
 
 
 def build_v3(params: AlgebraParams, lam) -> MatrixRep:
@@ -204,18 +207,12 @@ def build_v3(params: AlgebraParams, lam) -> MatrixRep:
     lam = _coerce_scalar(params, lam, "lam")
     d = ord_formula(params.m, params.n, params.k1, params.k2)
     pinv_pow = _powers(params.p.inverse(), d)
-    zero = CycNumber.zero(cond)
-    one = CycNumber.one(cond)
     mz = FieldMatrix.diagonal([pinv_pow[k] * lam for k in range(d)], cond)
-    mx_rows = [[zero] * d for _ in range(d)]
-    my_rows = [[zero] * d for _ in range(d)]
-    for k in range(d):
-        if k + 1 < d:
-            my_rows[k][k + 1] = one
-        if k > 0:
-            mx_rows[k][k - 1] = lam * pq_number(params, k)
-    return MatrixRep(params, d, FieldMatrix(mx_rows, cond),
-                     FieldMatrix(my_rows, cond), mz)
+    mx = FieldMatrix.from_entries(d, d, {(k, k - 1): lam * pq_number(params, k)
+                                         for k in range(1, d)}, cond)
+    my = FieldMatrix.from_entries(d, d, {(k, k + 1): 1
+                                         for k in range(d - 1)}, cond)
+    return MatrixRep(params, d, mx, my, mz)
 
 
 def build_qplane(params: AlgebraParams, mode: str, a, b) -> MatrixRep:
@@ -228,23 +225,18 @@ def build_qplane(params: AlgebraParams, mode: str, a, b) -> MatrixRep:
     cond = params.conductor
     a = _coerce_scalar(params, a, "a")
     b = _coerce_scalar(params, b, "b")
-    zero = CycNumber.zero(cond)
     if mode == Z_TORSION:
         d = params.n
         q_pow = _powers(params.q, d)
         mx = FieldMatrix.diagonal([a * q_pow[k] for k in range(d)], cond)
-        my_rows = [[zero] * d for _ in range(d)]
-        for k in range(d):
-            my_rows[k][(k + 1) % d] = b
-        return MatrixRep(params, d, mx, FieldMatrix(my_rows, cond),
-                         FieldMatrix.zeros(d, d, cond))
+        my = FieldMatrix.from_entries(d, d, {(k, (k + 1) % d): b
+                                             for k in range(d)}, cond)
+        return MatrixRep(params, d, mx, my, FieldMatrix.zeros(d, d, cond))
     if mode == THETA_TORSION:
         d = params.m
         p_pow = _powers(params.p, d)
-        mx_rows = [[zero] * d for _ in range(d)]
-        for k in range(d):
-            mx_rows[k][(k + 1) % d] = a
-        mx = FieldMatrix(mx_rows, cond)
+        mx = FieldMatrix.from_entries(d, d, {(k, (k + 1) % d): a
+                                             for k in range(d)}, cond)
         my = FieldMatrix.diagonal([b * p_pow[k] for k in range(d)], cond)
         # theta = (q - p^{-1})xy + z, so killing theta forces the z matrix
         mz = (mx * my).scale(params.p.inverse() - params.q)
@@ -284,21 +276,16 @@ def build_from_descriptor(params: AlgebraParams,
 def direct_sum(a: MatrixRep, b: MatrixRep) -> MatrixRep:
     if a.params != b.params:
         raise ValueError("params mismatch between summands")
-    cond = a.params.conductor
-    zero = CycNumber.zero(cond)
+    d = a.d + b.d
 
     def block(ma: FieldMatrix, mb: FieldMatrix) -> FieldMatrix:
-        d = a.d + b.d
-        rows = [[zero] * d for _ in range(d)]
-        for i in range(a.d):
-            for j in range(a.d):
-                rows[i][j] = ma.rows[i][j]
-        for i in range(b.d):
-            for j in range(b.d):
-                rows[a.d + i][a.d + j] = mb.rows[i][j]
-        return FieldMatrix(rows, cond)
+        entries = {(i, j): e for i, row in enumerate(ma.rows)
+                   for j, e in enumerate(row)}
+        entries.update(((a.d + i, a.d + j), e) for i, row in enumerate(mb.rows)
+                       for j, e in enumerate(row))
+        return FieldMatrix.from_entries(d, d, entries, a.params.conductor)
 
-    return MatrixRep(a.params, a.d + b.d, block(a.Mx, b.Mx),
+    return MatrixRep(a.params, d, block(a.Mx, b.Mx),
                      block(a.My, b.My), block(a.Mz, b.Mz))
 
 
@@ -333,52 +320,27 @@ def is_simple(rep: MatrixRep) -> bool:
     return algebra_span_dim([rep.Mx, rep.My, rep.Mz, ident]) == rep.d * rep.d
 
 
-def _left_kernel_with_support(mat: FieldMatrix):
-    """Left kernel {v : v mat = 0} plus the one-hot coordinate columns.
+def _on_left_kernel(op: FieldMatrix, mat: FieldMatrix, kind: str,
+                    op_name: str, space: str) -> FieldMatrix:
+    """Matrix of op on the left kernel {v : v mat = 0}, in row_reduce's basis.
 
-    Each basis row carries a 1 at its own support index and 0 at every
-    other support index, so coordinates in this basis can be read off.
+    Each basis row is one-hot on its own free column, and in reduced row
+    echelon form that column is its last nonzero entry; the coordinates
+    of a vector in the span are its entries at those columns.
     """
-    rref, rank, null = row_reduce(mat.transpose())
-    pivot_cols = []
-    for i in range(rank):
-        pivot_cols.append(next(j for j, e in enumerate(rref.rows[i])
-                               if not e.is_zero()))
-    support = [c for c in range(mat.shape[0]) if c not in pivot_cols]
-    return [list(v) for v in null], support
+    _, _, null = row_reduce(mat.transpose())
+    basis = FieldMatrix(null, mat.conductor)
+    free = [max(j for j, e in enumerate(v) if not e.is_zero()) for v in null]
+    image = basis * op
+    coords = FieldMatrix([[row[f] for f in free] for row in image.rows],
+                         mat.conductor)
+    if coords * basis != image:
+        raise ValueError(f"classify {kind}: {space} is not {op_name}-invariant")
+    return coords
 
 
-def _restrict(op: FieldMatrix, basis: list, support: list[int],
-              conductor: int) -> FieldMatrix:
-    """Matrix of op on the invariant span of basis, in that basis."""
-    zero = CycNumber.zero(conductor)
-    out = []
-    for vec in basis:
-        image = [zero] * op.shape[1]
-        for t, c in enumerate(vec):
-            if c.is_zero():
-                continue
-            row = op.rows[t]
-            for j in range(len(image)):
-                if not row[j].is_zero():
-                    image[j] = image[j] + c * row[j]
-        coords = [image[s] for s in support]
-        # the span must be op-invariant: rebuild the image and compare
-        rebuilt = [zero] * op.shape[1]
-        for w, bvec in zip(coords, basis):
-            if w.is_zero():
-                continue
-            for j, e in enumerate(bvec):
-                if not e.is_zero():
-                    rebuilt[j] = rebuilt[j] + w * e
-        if rebuilt != image:
-            raise ValueError("inconsistent scalar extraction: "
-                             "weight space is not invariant")
-        out.append(coords)
-    return FieldMatrix(out, conductor)
-
-
-def _matrix_eigenvalue(mat: FieldMatrix, exponent: int) -> CycNumber:
+def _matrix_eigenvalue(mat: FieldMatrix, exponent: int, kind: str,
+                       name: str) -> CycNumber:
     """Some exact eigenvalue of mat, deterministically chosen.
 
     Scans diagonal entries first (weight modules are upper-triangular in
@@ -389,8 +351,8 @@ def _matrix_eigenvalue(mat: FieldMatrix, exponent: int) -> CycNumber:
     cond = mat.conductor
     ident = FieldMatrix.identity(s, cond)
     seen = []
-    for i in range(s):
-        t = mat.rows[i][i]
+    for i, row in enumerate(mat.rows):
+        t = row[i]
         if t in seen:
             continue
         seen.append(t)
@@ -405,17 +367,19 @@ def _matrix_eigenvalue(mat: FieldMatrix, exponent: int) -> CycNumber:
                 if cand ** exponent == power and cand not in seen:
                     if row_reduce(mat - ident.scale(cand))[1] < s:
                         return cand
-    raise ValueError("inconsistent scalar extraction: no eigenvalue found")
+    raise ValueError(f"classify {kind}: no eigenvalue of {name} "
+                     "in the working field")
 
 
-def _scalar_root(mat: FieldMatrix, exponent: int, name: str) -> CycNumber:
+def _scalar_root(mat: FieldMatrix, exponent: int, kind: str,
+                 name: str) -> CycNumber:
     power = scalar_of(mat ** exponent)
     if power is None or power.is_zero():
-        raise ValueError(f"inconsistent scalar extraction: {name}^{exponent} "
+        raise ValueError(f"classify {kind}: {name}^{exponent} "
                          "is not a nonzero scalar")
     root = nth_root_in_field(power, exponent)
     if root is None:
-        raise ValueError(f"inconsistent scalar extraction: {name}^{exponent} "
+        raise ValueError(f"classify {kind}: {name}^{exponent} "
                          "has no root in the working field")
     return root
 
@@ -429,7 +393,8 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
     eigenvector.  The result is self-checked: the canonical build of the
     returned descriptor admits an exact invertible intertwiner with the
     input.  When ord(pq) < l several weight scalars describe the same V2
-    module; the first weight vector is used, deterministically.
+    module; the first weight vector is used, deterministically.  Every
+    failure names the stage: "classify <kind>: ...".
     """
     check = verify_relations(rep)
     if not check.ok:
@@ -442,9 +407,8 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
         raise ValueError("input module is not simple")
 
     if d == 1:
-        desc = ModuleDescriptor(KIND_ONE_DIM, mu=rep.Mx.rows[0][0],
-                                lam=rep.Mz.rows[0][0],
-                                gamma=rep.My.rows[0][0])
+        desc = ModuleDescriptor(KIND_ONE_DIM, mu=rep.Mx[0][0],
+                                lam=rep.Mz[0][0], gamma=rep.My[0][0])
         return _self_check(rep, desc)
 
     th = theta_matrix(rep)
@@ -452,37 +416,38 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
     th_zero = th.is_zero()
 
     if z_zero and th_zero:
-        raise ValueError("inconsistent scalar extraction: z and theta "
-                         "both vanish on a module of dimension > 1")
+        raise ValueError(f"classify dimension {d}: z and theta both vanish "
+                         "on a module of dimension > 1")
     if z_zero:
         if d != params.n:
             raise ValueError(f"z-torsion module of dimension {d}, "
                              f"expected {params.n}")
-        b = _scalar_root(rep.My, params.n, "My")
-        a = _matrix_eigenvalue(rep.Mx, params.n)
+        b = _scalar_root(rep.My, params.n, KIND_QPLANE_Z, "My")
+        a = _matrix_eigenvalue(rep.Mx, params.n, KIND_QPLANE_Z, "Mx")
         return _self_check(rep, ModuleDescriptor(KIND_QPLANE_Z, mu=b, gamma=a))
     if th_zero:
         if d != params.m:
             raise ValueError(f"theta-torsion module of dimension {d}, "
                              f"expected {params.m}")
-        a = _scalar_root(rep.Mx, params.m, "Mx")
-        b = _matrix_eigenvalue(rep.My, params.m)
+        a = _scalar_root(rep.Mx, params.m, KIND_QPLANE_THETA, "Mx")
+        b = _matrix_eigenvalue(rep.My, params.m, KIND_QPLANE_THETA, "My")
         return _self_check(rep, ModuleDescriptor(KIND_QPLANE_THETA, mu=a, lam=b))
 
     # torsionfree: z and theta are normal, so they must act invertibly
     if not is_invertible(rep.Mz) or not is_invertible(th):
-        raise ValueError("inconsistent scalar extraction: z or theta acts "
-                         "neither by zero nor invertibly")
+        raise ValueError(f"classify torsionfree, dimension {d}: z or theta "
+                         "acts neither by zero nor invertibly")
     l = params.l
     if is_invertible(rep.Mx):
         if d != l:
             raise ValueError(f"x-invertible module of dimension {d}, "
                              f"expected {l}")
-        mu = _scalar_root(rep.Mx, l, "Mx")
-        lam = _matrix_eigenvalue(rep.Mz, params.m)
-        basis, support = _left_kernel_with_support(rep.Mz - ident.scale(lam))
-        gamma = _matrix_eigenvalue(_restrict(th, basis, support, cond),
-                                   params.n)
+        mu = _scalar_root(rep.Mx, l, KIND_V1, "Mx")
+        lam = _matrix_eigenvalue(rep.Mz, params.m, KIND_V1, "Mz")
+        th_on_weight = _on_left_kernel(th, rep.Mz - ident.scale(lam), KIND_V1,
+                                       "theta", "weight space of Mz")
+        gamma = _matrix_eigenvalue(th_on_weight, params.n, KIND_V1,
+                                   "theta on the weight space")
         return _self_check(rep, ModuleDescriptor(KIND_V1, mu=mu, lam=lam,
                                                  gamma=gamma))
     if is_invertible(rep.My):
@@ -490,28 +455,28 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
             raise ValueError(f"y-invertible module of dimension {d}, "
                              f"expected {l}")
         if not (rep.Mx ** l).is_zero():
-            raise ValueError("inconsistent scalar extraction: Mx is "
-                             "singular but not nilpotent")
-        mu = _scalar_root(rep.My, l, "My")
-        basis, support = _left_kernel_with_support(rep.Mx)
-        lam = _matrix_eigenvalue(_restrict(rep.Mz, basis, support, cond),
-                                 params.m)
+            raise ValueError("classify V2: Mx is singular but not nilpotent")
+        mu = _scalar_root(rep.My, l, KIND_V2, "My")
+        z_on_kernel = _on_left_kernel(rep.Mz, rep.Mx, KIND_V2, "Mz",
+                                      "kernel of Mx")
+        lam = _matrix_eigenvalue(z_on_kernel, params.m, KIND_V2,
+                                 "Mz on the kernel of Mx")
         return _self_check(rep, ModuleDescriptor(KIND_V2, mu=mu, lam=lam))
     o = ord_formula(params.m, params.n, params.k1, params.k2)
     if d != o:
         raise ValueError(f"x,y-nilpotent module of dimension {d}, "
                          f"expected {o}")
-    basis, support = _left_kernel_with_support(rep.Mx)
-    lam = _matrix_eigenvalue(_restrict(rep.Mz, basis, support, cond),
-                             params.m)
+    z_on_kernel = _on_left_kernel(rep.Mz, rep.Mx, KIND_V3, "Mz", "kernel of Mx")
+    lam = _matrix_eigenvalue(z_on_kernel, params.m, KIND_V3,
+                             "Mz on the kernel of Mx")
     return _self_check(rep, ModuleDescriptor(KIND_V3, lam=lam))
 
 
 def _self_check(rep: MatrixRep, desc: ModuleDescriptor) -> ModuleDescriptor:
     canonical = build_from_descriptor(rep.params, desc)
     if find_intertwiner(rep, canonical) is None:
-        raise ValueError("inconsistent scalar extraction: descriptor does "
-                         "not rebuild the input module")
+        raise ValueError(f"classify {desc.kind}: the descriptor does not "
+                         "rebuild the input module")
     return desc
 
 
@@ -601,13 +566,12 @@ def intertwiner(kind: str, desc_a: ModuleDescriptor,
             ratio = CycNumber.one(cond)
         else:
             ratio = desc_a.mu.inverse() * desc_b.mu
-        zero = CycNumber.zero(cond)
-        rows = [[zero] * d for _ in range(d)]
+        entries = {}
         cur = CycNumber.one(cond)
         for i in range(d):
-            rows[i][(i - k) % d] = cur
+            entries[(i, (i - k) % d)] = cur
             cur = cur * ratio
-        mat = FieldMatrix(rows, cond)
+        mat = FieldMatrix.from_entries(d, d, entries, cond)
     for a_mat, b_mat in ((rep_a.Mx, rep_b.Mx), (rep_a.My, rep_b.My),
                          (rep_a.Mz, rep_b.Mz)):
         if a_mat * mat != mat * b_mat:

@@ -193,6 +193,33 @@ class TestExitCodes:
         assert captured.out == ""
         assert "malformed module file" in captured.err
 
+    def test_degree_overflow_is_domain_error(self, capsys):
+        assert main(["normal-form", "--m", "2", "--n", "3", "x^2000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: exponent beyond the degree cap 1000000\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data.update(d=5), "Mx is 1x1, but d is 5"),
+        (lambda data: data["Mx"][0].append(data["Mx"][0][0]),
+         "Mx is 1x2, but d is 1"),
+        (lambda data: data.update(Mz=[[{"conductor": 4, "coeffs": ["1", "0"]}]]),
+         "Mz has entries in Q(zeta_4), expected Q(zeta_6)"),
+    ], ids=["d_mismatch", "non_square", "conductor_mismatch"])
+    def test_inconsistent_module_file_is_domain_error(self, tmp_path, capsys,
+                                                      edit, message):
+        assert main(["module-build", "--m", "2", "--n", "3", "--kind",
+                     "OneDim", "--mu", "1", "--lam", "0", "--gamma", "0"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        edit(data)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data))
+        assert main(["module-verify", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+
     def test_non_simple_module_is_domain_error(self, tmp_path, capsys):
         import io
         from contextlib import redirect_stdout

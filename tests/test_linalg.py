@@ -5,15 +5,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qheisenberg.cyclotomic import CycNumber, zeta_power
 from qheisenberg.linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
-                                is_invertible, kernel_vector,
-                                matrix_hom_space, row_reduce, scalar_of)
+                                is_invertible, matrix_hom_space, row_reduce,
+                                scalar_of)
 
 
 def cyc(n, v):
     return CycNumber.from_rational(n, v)
+
+
+def kernel_vector(mat):
+    """Some nonzero row vector v with v*mat = 0, or None.
+
+    Row convention: left kernel, matching the row-module action.
+    """
+    _, _, null = row_reduce(mat.transpose())
+    return null[0] if null else None
 
 
 class TestFieldMatrix:
@@ -290,3 +300,79 @@ class TestHomSpace:
         p = basis[0]
         assert p.shape == (2, 1)
         assert a * p == p * b
+
+
+# --- the sparse layout against schoolbook dense arithmetic over .rows ------
+
+def scalars(conductor):
+    # half of the draws are +-1 or +-zeta, so that sums of products cancel
+    phi = len(CycNumber.zero(conductor).num)
+    coord = st.sampled_from((0, 1, -1, 2, Fraction(1, 2)))
+    g = zeta_power(conductor, 1)
+    return st.one_of(
+        st.sampled_from((cyc(conductor, 1), cyc(conductor, -1), g, -g)),
+        st.lists(coord, min_size=phi, max_size=phi).map(
+            lambda coords: CycNumber(conductor, coords)))
+
+
+@st.composite
+def matrices(draw, conductor, nrows, ncols):
+    # density 0 gives the zero matrix and 4 a full one
+    density = draw(st.integers(0, 4))
+    zero = CycNumber.zero(conductor)
+    return FieldMatrix([[draw(scalars(conductor))
+                         if draw(st.integers(0, 3)) < density else zero
+                         for _ in range(ncols)] for _ in range(nrows)],
+                       conductor)
+
+
+def dense_mul(a, b):
+    zero = a[0][0] - a[0][0]
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)]
+            for row in a]
+
+
+def dense_pow(a, e):
+    zero = a[0][0] - a[0][0]
+    out = [[zero + 1 if i == j else zero for j in range(len(a))]
+           for i in range(len(a))]
+    for _ in range(e):
+        out = dense_mul(out, a)
+    return out
+
+
+def same(mat, dense):
+    # the dense view and the stored entries: no zero may be stored
+    return ([list(row) for row in mat.rows] == dense
+            and mat == FieldMatrix(dense, mat.conductor))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), conductor=st.sampled_from((4, 6, 12)),
+       n=st.integers(1, 4), k=st.integers(1, 4), m=st.integers(1, 4),
+       e=st.integers(0, 3))
+def test_property_sparse_ops_match_dense(data, conductor, n, k, m, e):
+    a = data.draw(matrices(conductor, n, k))
+    a2 = data.draw(matrices(conductor, n, k))
+    b = data.draw(matrices(conductor, k, m))
+    sq = data.draw(matrices(conductor, n, n))
+    c = data.draw(scalars(conductor))
+    ra, ra2 = a.rows, a2.rows
+    assert same(a * b, dense_mul(ra, b.rows))
+    assert same(a + a2, [[x + y for x, y in zip(r, r2)]
+                         for r, r2 in zip(ra, ra2)])
+    assert same(a - a2, [[x - y for x, y in zip(r, r2)]
+                         for r, r2 in zip(ra, ra2)])
+    assert same(a.scale(c), [[x * c for x in r] for r in ra])
+    assert same(a.transpose(), [list(col) for col in zip(*ra)])
+    assert same(sq ** e, dense_pow(sq.rows, e))
+    assert a.is_zero() == all(x.is_zero() for r in ra for x in r)
+    assert FieldMatrix(ra, conductor) == a
+    assert FieldMatrix.from_json(a.to_json()) == a
+    # a matrix reached another way holds its row dicts in another order
+    again = (a - a2) + a2
+    assert again == a and hash(again) == hash(a)
+    dense = {(i, j): x for i, r in enumerate(ra) for j, x in enumerate(r)}
+    nonzero = {key: x for key, x in dense.items() if not x.is_zero()}
+    assert (FieldMatrix.from_entries(n, k, dense, conductor)
+            == FieldMatrix.from_entries(n, k, nonzero, conductor) == a)

@@ -351,6 +351,43 @@ class TestClassify:
         assert got.kind == KIND_V2
         assert got.mu == CycNumber.from_rational(6, mu)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: build_v1(P23, 2 * zeta_power(6, 1) + Fraction(1, 3), 2, 3),
+         "classify V1: Mx^6 has no root in the working field"),
+        (lambda: build_v2(P23, 2 * zeta_power(6, 1) + Fraction(1, 3), 2),
+         "classify V2: My^6 has no root in the working field"),
+    ], ids=["V1", "V2"])
+    def test_classify_error_names_stage(self, build, message):
+        with pytest.raises(ValueError) as err:
+            classify(build())
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("rep, message", [
+        (direct_sum(build_one_dim(P23, 2, 0, 0), build_one_dim(P23, 3, 0, 0)),
+         "classify dimension 2: z and theta both vanish on a module of "
+         "dimension > 1"),
+        (direct_sum(build_v1(P23, 1, 2, 3), build_one_dim(P23, 2, 0, 0)),
+         "classify torsionfree, dimension 7: z or theta acts neither by zero "
+         "nor invertibly"),
+    ], ids=["both_vanish", "neither_zero_nor_invertible"])
+    def test_classify_error_names_stage_past_span(self, monkeypatch, rep,
+                                                  message):
+        # these direct sums are not simple; a full span lets classify
+        # reach the stage that must reject them
+        monkeypatch.setattr("qheisenberg.reps.algebra_span_dim",
+                            lambda mats: mats[0].shape[0] ** 2)
+        with pytest.raises(ValueError) as err:
+            classify(rep)
+        assert str(err.value) == message
+
+    def test_classify_error_names_failed_self_check(self, monkeypatch):
+        monkeypatch.setattr("qheisenberg.reps.find_intertwiner",
+                            lambda a, b: None)
+        with pytest.raises(ValueError) as err:
+            classify(build_v3(P23, 1))
+        assert str(err.value) == ("classify V3: the descriptor does not "
+                                  "rebuild the input module")
+
 
 class TestIsoV1:
     MU = zeta_power(6, 1)
