@@ -16,7 +16,7 @@ conjugates over the rational norm.  All arithmetic is on Python ints;
 view, and floats never do.
 
 Elements of different conductors are deliberately incomparable; use
-`embed` (or `common_field`) to move into a larger field first.
+`embed` to move both into Q(zeta_lcm) first.
 """
 
 from __future__ import annotations
@@ -175,6 +175,21 @@ def _over_common_den(coeffs) -> tuple[list[int], int]:
            for c in coeffs]
     den = math.lcm(*[c.denominator for c in vec])
     return [c.numerator * (den // c.denominator) for c in vec], den
+
+
+def _parse_coord(text):
+    # to_json writes "a", "-a" or "a/b" in ASCII digits; int() reads those
+    # without Fraction's regular expression, and any other value goes to
+    # Fraction, which accepts or rejects it exactly as before
+    if type(text) is str:
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit():
+            if not slash:
+                return int(num)
+            if den.isascii() and den.isdigit() and int(den):
+                return Fraction(int(num), int(den))
+    return Fraction(text)
 
 
 def _coord_str(x: int, den: int) -> str:
@@ -415,7 +430,7 @@ class CycNumber:
 
     @classmethod
     def from_json(cls, data: dict) -> CycNumber:
-        return cls(data["conductor"], [Fraction(s) for s in data["coeffs"]])
+        return cls(data["conductor"], [_parse_coord(s) for s in data["coeffs"]])
 
     def __str__(self) -> str:
         parts = []
@@ -495,12 +510,6 @@ def order_of_unit(a: CycNumber) -> int | None:
             return k
         acc = acc * a
     return None
-
-
-def common_field(a: CycNumber, b: CycNumber) -> tuple[CycNumber, CycNumber]:
-    """Embed both elements into Q(zeta_lcm) so they can be combined."""
-    m = math.lcm(a.conductor, b.conductor)
-    return a.embed(m), b.embed(m)
 
 
 def roots_of_unity(conductor: int) -> list[CycNumber]:

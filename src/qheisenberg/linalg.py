@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import CycNumber, _normalised
+from .cyclotomic import CycNumber, _normalised, euler_phi
 
 
 class FieldMatrix:
@@ -235,11 +235,34 @@ class FieldMatrix:
     __repr__ = __str__
 
     def to_json(self) -> list:
-        return [[e.to_json() for e in row] for row in self.rows]
+        conductor = self.conductor
+        zero = ["0"] * euler_phi(conductor)
+        return [[row[j].to_json() if j in row
+                 else {"conductor": conductor, "coeffs": zero[:]}
+                 for j in range(self.shape[1])] for row in self._rows]
 
     @classmethod
     def from_json(cls, data: list) -> FieldMatrix:
-        return cls([[CycNumber.from_json(e) for e in row] for row in data])
+        """Read the dense JSON rows, parsing only the entries that are not all "0"."""
+        if not data or not data[0]:
+            raise ValueError("matrix needs at least one entry")
+        conductor = data[0][0]["conductor"]
+        zero = ["0"] * euler_phi(conductor)
+        ncols = len(data[0])
+        rows = []
+        for json_row in data:
+            if len(json_row) != ncols:
+                raise ValueError("ragged rows")
+            row = {}
+            for j, e in enumerate(json_row):
+                if e["conductor"] != conductor:
+                    raise ValueError("mixed conductors in matrix")
+                if e["coeffs"] != zero:
+                    v = CycNumber.from_json(e)
+                    if not v.is_zero():
+                        row[j] = v
+            rows.append(row)
+        return _make((len(data), ncols), rows, conductor)
 
 
 def _make(shape: tuple[int, int], rows, conductor: int) -> FieldMatrix:
@@ -402,12 +425,8 @@ class SparseEchelon:
         return basis
 
 
-def algebra_span_dim(mats: list[FieldMatrix]) -> int:
-    """Dimension of the unital algebra generated by the given matrices.
-
-    Seeds the span with the identity and right-multiplies admitted
-    elements by generators until the row-reduced basis stops growing.
-    """
+def _generator_size(mats: list[FieldMatrix]) -> tuple[int, int]:
+    # the common size d and conductor of a non-empty list of d x d matrices
     if not mats:
         raise ValueError("need at least one generator")
     d, d2 = mats[0].shape
@@ -419,6 +438,16 @@ def algebra_span_dim(mats: list[FieldMatrix]) -> int:
             raise ValueError("generator size mismatch")
         if g.conductor != conductor:
             raise ValueError("generator conductor mismatch")
+    return d, conductor
+
+
+def algebra_span_dim(mats: list[FieldMatrix]) -> int:
+    """Dimension of the unital algebra generated by the given matrices.
+
+    Seeds the span with the identity and right-multiplies admitted
+    elements by generators until the row-reduced basis stops growing.
+    """
+    d, conductor = _generator_size(mats)
     ech = SparseEchelon(conductor)
     one = CycNumber.one(conductor)
     ident = {(i, i): one for i in range(d)}
@@ -452,9 +481,10 @@ def matrix_hom_space(mats_a: list[FieldMatrix],
     """
     if len(mats_a) != len(mats_b):
         raise ValueError("generator lists differ in length")
-    da = mats_a[0].shape[0]
-    db = mats_b[0].shape[0]
-    conductor = mats_a[0].conductor
+    da, conductor = _generator_size(mats_a)
+    db, conductor_b = _generator_size(mats_b)
+    if conductor_b != conductor:
+        raise ValueError("generator conductor mismatch")
     ech = SparseEchelon(conductor)
     for a_mat, b_mat in zip(mats_a, mats_b):
         b_cols = b_mat.transpose()._rows

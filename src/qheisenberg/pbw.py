@@ -17,7 +17,6 @@ default), and a literal rewriting engine driven by the three relations
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from fractions import Fraction
 
@@ -27,14 +26,6 @@ from .cyclotomic import CycNumber
 DEGREE_CAP = 10 ** 6
 
 _Triple = tuple[int, int, int]
-
-
-@dataclasses.dataclass(frozen=True, order=True)
-class LexDegree:
-    """An (x, y)-degree pair, ordered lexicographically: x first, then y."""
-
-    u: int
-    v: int
 
 
 @functools.lru_cache(maxsize=None)
@@ -369,21 +360,3 @@ def commutation_twist(a: PbwElement, gen: str) -> CycNumber | None:
         return None
     c = left.terms[key] * right.terms[key].inverse()
     return c if left == right.scale(c) else None
-
-
-def xy_coefficient(a: PbwElement, u: int, v: int) -> PbwElement:
-    """The z-polynomial coefficient of x^u y^v inside a."""
-    return PbwElement(a.params, {(i, 0, 0): c for (i, j, k), c in a.terms.items()
-                                 if (j, k) == (u, v)})
-
-
-def lex_degree(a: PbwElement) -> tuple[LexDegree, PbwElement]:
-    """Largest (x, y)-exponent pair in lexicographic order, with its coefficient.
-
-    The coefficient is returned as a polynomial in z (a PbwElement
-    supported on x^0 y^0 monomials).
-    """
-    if a.is_zero():
-        raise ValueError("zero element has no degree")
-    u, v = max((j, k) for (_, j, k) in a.terms)
-    return LexDegree(u, v), xy_coefficient(a, u, v)

@@ -279,10 +279,10 @@ def direct_sum(a: MatrixRep, b: MatrixRep) -> MatrixRep:
     d = a.d + b.d
 
     def block(ma: FieldMatrix, mb: FieldMatrix) -> FieldMatrix:
-        entries = {(i, j): e for i, row in enumerate(ma.rows)
-                   for j, e in enumerate(row)}
-        entries.update(((a.d + i, a.d + j), e) for i, row in enumerate(mb.rows)
-                       for j, e in enumerate(row))
+        entries = {(i, j): e for i, row in enumerate(ma._rows)
+                   for j, e in row.items()}
+        entries.update(((a.d + i, a.d + j), e) for i, row in enumerate(mb._rows)
+                       for j, e in row.items())
         return FieldMatrix.from_entries(d, d, entries, a.params.conductor)
 
     return MatrixRep(a.params, d, block(a.Mx, b.Mx),
@@ -332,8 +332,10 @@ def _on_left_kernel(op: FieldMatrix, mat: FieldMatrix, kind: str,
     basis = FieldMatrix(null, mat.conductor)
     free = [max(j for j, e in enumerate(v) if not e.is_zero()) for v in null]
     image = basis * op
-    coords = FieldMatrix([[row[f] for f in free] for row in image.rows],
-                         mat.conductor)
+    coords = FieldMatrix.from_entries(
+        len(free), len(free), {(i, k): row[f] for i, row in enumerate(image._rows)
+                               for k, f in enumerate(free) if f in row},
+        mat.conductor)
     if coords * basis != image:
         raise ValueError(f"classify {kind}: {space} is not {op_name}-invariant")
     return coords
@@ -350,9 +352,10 @@ def _matrix_eigenvalue(mat: FieldMatrix, exponent: int, kind: str,
     s = mat.shape[0]
     cond = mat.conductor
     ident = FieldMatrix.identity(s, cond)
+    zero = CycNumber.zero(cond)
     seen = []
-    for i, row in enumerate(mat.rows):
-        t = row[i]
+    for i, row in enumerate(mat._rows):
+        t = row.get(i, zero)
         if t in seen:
             continue
         seen.append(t)

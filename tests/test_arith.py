@@ -17,8 +17,6 @@ from qheisenberg.arith import (
     InvalidParameters,
     classify_pair,
     derive_params,
-    int_det,
-    int_mat_mul,
     ord_formula,
     ord_pq,
     pair_rs,
@@ -111,6 +109,33 @@ def test_snf_anchors():
     assert smith_normal_form([[0, -3, 3], [3, 0, -2], [-3, 2, 0]])[0] == [1, 1, 0]
     assert smith_normal_form([[0, 2], [-2, 0]])[0] == [2, 2]
     assert smith_normal_form([[0, 0], [0, 0]])[0] == [0, 0]
+
+
+def int_mat_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def int_det(mat):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    a = [row[:] for row in mat]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 def minor_gcd(mat, k):

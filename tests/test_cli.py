@@ -220,6 +220,48 @@ class TestExitCodes:
         assert captured.err.startswith("error: ") and message in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data["Mx"][0].__setitem__(
+            1, {"conductor": 6, "coeffs": ["0"]}),
+         "need exactly 2 coordinates for conductor 6"),
+        (lambda data: data["Mx"][0].__setitem__(
+            1, {"conductor": 4, "coeffs": ["0", "0"]}),
+         "mixed conductors in matrix"),
+        (lambda data: data["My"][2][3]["coeffs"].__setitem__(0, "1/0"),
+         "Fraction(1, 0)"),
+        (lambda data: data["Mz"][1].pop(), "ragged rows"),
+        (lambda data: data.update(Mx=[]), "matrix needs at least one entry"),
+    ], ids=["short_zero_entry", "zero_at_other_conductor", "zero_denominator",
+            "ragged_row", "empty_matrix"])
+    def test_malformed_matrix_is_domain_error(self, tmp_path, capsys,
+                                              edit, message):
+        assert main(["module-build", "--m", "2", "--n", "3",
+                     "--kind", "V3", "--lam", "1"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        edit(data)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data))
+        assert main(["module-verify", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_float_conductor_is_domain_error(self, tmp_path, capsys):
+        assert main(["module-build", "--m", "2", "--n", "3",
+                     "--kind", "V3", "--lam", "1"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        for row in data["Mx"]:
+            for entry in row:
+                entry["conductor"] = 6.0
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data))
+        assert main(["module-verify", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed module file")
+        assert "Traceback" not in captured.err
+
     def test_non_simple_module_is_domain_error(self, tmp_path, capsys):
         import io
         from contextlib import redirect_stdout

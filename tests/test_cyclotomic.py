@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from qheisenberg.cyclotomic import (
     CycNumber,
     ConductorMismatch,
-    common_field,
     cyclotomic_polynomial,
     euler_phi,
     nth_root_in_field,
@@ -23,6 +22,7 @@ from qheisenberg.cyclotomic import (
     roots_of_unity,
     zeta_power,
 )
+from qheisenberg.cyclotomic import _parse_coord
 
 
 def test_cyclotomic_polynomial_small_values():
@@ -126,6 +126,12 @@ def test_embedding():
         assert (a + b).embed(12) == a.embed(12) + b.embed(12)
     with pytest.raises(ConductorMismatch):
         zeta_power(4, 1).embed(6)
+
+
+def common_field(a, b):
+    """Embed both elements into Q(zeta_lcm) so they can be combined."""
+    m = math.lcm(a.conductor, b.conductor)
+    return a.embed(m), b.embed(m)
 
 
 def test_common_field():
@@ -300,3 +306,36 @@ def test_property_views_round_trip(a):
     assert CycNumber.from_json(a.to_json()) == a
     assert a.to_json()["coeffs"] == [str(c) for c in a.coeffs]
     assert hash(CycNumber(a.conductor, a.coeffs)) == hash(a)
+
+
+# "a", "-a" and "a/b" in ASCII digits take the int() path; everything else
+# must reach Fraction, so signs, spaces, dots, exponents, underscores, a
+# zero denominator and the Arabic-Indic digit one are in the alphabet
+_COORD_TEXT = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.fractions().map(str),
+    st.text(alphabet="0123456789-/+._e\u0661 ", max_size=8),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _outcome(parse, text):
+    # the value, or the type of the exception raised in its place
+    try:
+        return parse(text)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_COORD_TEXT)
+def test_property_parse_coord_matches_fraction(text):
+    assert _outcome(_parse_coord, text) == _outcome(Fraction, text)
+
+
+@pytest.mark.parametrize("text", ["0", "-0", "007", "-12", "2/4", "-7/3", "0/5",
+                                  "+1", " 1", "1.5", "1e3", "1_0", "1/0", "-",
+                                  "/2", "1/-2", "1/2/3", "\u0661", "", "--1"])
+def test_parse_coord_edge_texts(text):
+    assert _outcome(_parse_coord, text) == _outcome(Fraction, text)

@@ -49,6 +49,40 @@ class TestFieldMatrix:
         with pytest.raises(ValueError):
             FieldMatrix([[cyc(4, 1)], [cyc(4, 1), cyc(4, 2)]])
 
+    def test_json_work_is_per_nonzero(self, monkeypatch):
+        m = FieldMatrix.diagonal([cyc(4, 2), zeta_power(4, 1), cyc(4, 0)], 4)
+        data = m.to_json()
+        parsed = []
+        real = CycNumber.from_json.__func__
+        monkeypatch.setattr(CycNumber, "from_json", classmethod(
+            lambda cls, e: parsed.append(e) or real(cls, e)))
+        monkeypatch.setattr(FieldMatrix, "rows", property(
+            lambda self: pytest.fail("to_json read the dense view")))
+        assert FieldMatrix.from_json(data) == m
+        assert parsed == [data[0][0], data[1][1]]
+        assert m.to_json() == data
+
+    def test_from_json_zero_spellings_are_not_stored(self):
+        zero = {"conductor": 4, "coeffs": ["-0", "0/5"]}
+        m = FieldMatrix.from_json([[zero, {"conductor": 4, "coeffs": ["2/4", "0"]}]])
+        assert m._rows == ({1: cyc(4, Fraction(1, 2))},)
+
+    @pytest.mark.parametrize("data, message", [
+        ([], "matrix needs at least one entry"),
+        ([[]], "matrix needs at least one entry"),
+        ([[{"conductor": 4, "coeffs": ["0", "0"]}], []], "ragged rows"),
+        ([[{"conductor": 4, "coeffs": ["1", "0"]},
+           {"conductor": 6, "coeffs": ["0", "0"]}]], "mixed conductors"),
+        ([[{"conductor": 4, "coeffs": ["0"]}]], "need exactly 2 coordinates"),
+        ([[{"conductor": 4, "coeffs": ["0", "0", "0"]}]],
+         "need exactly 2 coordinates"),
+        ([[{"conductor": 4, "coeffs": ["1/0", "0"]}]], "Fraction"),
+    ], ids=["empty", "empty_row", "ragged", "zero_at_other_conductor",
+            "short_zero", "long_zero", "zero_denominator"])
+    def test_from_json_rejects(self, data, message):
+        with pytest.raises((ValueError, ZeroDivisionError), match=message):
+            FieldMatrix.from_json(data)
+
     def test_immutable(self):
         m = FieldMatrix.identity(2, 4)
         with pytest.raises(AttributeError):
@@ -301,6 +335,27 @@ class TestHomSpace:
         assert p.shape == (2, 1)
         assert a * p == p * b
 
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="need at least one generator"):
+            matrix_hom_space([], [])
+
+    def test_non_square_generator_rejected(self):
+        bad, i3 = FieldMatrix.zeros(2, 3, 4), FieldMatrix.identity(3, 4)
+        for mats_a, mats_b in (([bad], [i3]), ([i3], [bad])):
+            with pytest.raises(ValueError, match="generators must be square"):
+                matrix_hom_space(mats_a, mats_b)
+
+    def test_two_sizes_in_one_list_rejected(self):
+        i2, i3 = FieldMatrix.identity(2, 4), FieldMatrix.identity(3, 4)
+        for mats_a, mats_b in (([i2, i3], [i2, i2]), ([i2, i2], [i2, i3])):
+            with pytest.raises(ValueError, match="generator size mismatch"):
+                matrix_hom_space(mats_a, mats_b)
+
+    def test_lists_over_different_fields_rejected(self):
+        with pytest.raises(ValueError, match="generator conductor mismatch"):
+            matrix_hom_space([FieldMatrix.identity(2, 4)],
+                             [FieldMatrix.identity(2, 6)])
+
 
 # --- the sparse layout against schoolbook dense arithmetic over .rows ------
 
@@ -376,3 +431,35 @@ def test_property_sparse_ops_match_dense(data, conductor, n, k, m, e):
     nonzero = {key: x for key, x in dense.items() if not x.is_zero()}
     assert (FieldMatrix.from_entries(n, k, dense, conductor)
             == FieldMatrix.from_entries(n, k, nonzero, conductor) == a)
+
+
+# --- module-file JSON against the dense formulas it replaced ---------------
+
+# coordinate texts as a module file may spell them: canonical, and not
+# ("-0" and "0/5" are zero, "2/4" and "007" are not in lowest terms)
+COORD_TEXTS = ("0", "0", "0", "-0", "0/5", "1", "-1", "3", "2/4", "-7/3",
+               "007", "10/1")
+
+
+@st.composite
+def json_matrices(draw, conductor, nrows, ncols):
+    # density 0 gives only all-"0" entries and 4 draws every entry's texts
+    density = draw(st.integers(0, 4))
+    phi = len(CycNumber.zero(conductor).num)
+    coords = st.lists(st.sampled_from(COORD_TEXTS), min_size=phi, max_size=phi)
+    return [[{"conductor": conductor,
+              "coeffs": draw(coords) if draw(st.integers(0, 3)) < density
+              else ["0"] * phi}
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), conductor=st.sampled_from((1, 4, 6, 12)),
+       n=st.integers(1, 4), m=st.integers(1, 4))
+def test_property_json_matches_dense(data, conductor, n, m):
+    a = data.draw(matrices(conductor, n, m))
+    assert a.to_json() == [[e.to_json() for e in row] for row in a.rows]
+    d = data.draw(json_matrices(conductor, n, m))
+    dense = FieldMatrix([[CycNumber(e["conductor"], [Fraction(s) for s in e["coeffs"]])
+                          for e in row] for row in d])
+    assert FieldMatrix.from_json(d) == dense

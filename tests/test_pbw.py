@@ -1,5 +1,6 @@
 """Normal-form engine: products, rewriting, twisted integers, theta, center."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,25 +10,48 @@ from qheisenberg.arith import derive_params, ord_formula
 from qheisenberg.cyclotomic import CycNumber
 from qheisenberg.pbw import (
     DEGREE_CAP,
-    LexDegree,
     PbwElement,
     center_generators,
     commutation_twist,
     generators,
     is_central,
-    lex_degree,
     omega,
     pq_number,
     product,
     product_via_rewriting,
     theta,
-    xy_coefficient,
 )
 
 PS23 = derive_params(2, 3, 1, 1)
 PS44 = derive_params(4, 4, 1, 1)
 PS24 = derive_params(2, 4, 1, 1)
 PS33 = derive_params(3, 3, 1, 1)
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class LexDegree:
+    """An (x, y)-degree pair, ordered lexicographically: x first, then y."""
+
+    u: int
+    v: int
+
+
+def xy_coefficient(a, u, v):
+    """The z-polynomial coefficient of x^u y^v inside a."""
+    return PbwElement(a.params, {(i, 0, 0): c for (i, j, k), c in a.terms.items()
+                                 if (j, k) == (u, v)})
+
+
+def lex_degree(a):
+    """Largest (x, y)-exponent pair in lexicographic order, with its coefficient.
+
+    The coefficient is returned as a polynomial in z (a PbwElement
+    supported on x^0 y^0 monomials).
+    """
+    if a.is_zero():
+        raise ValueError("zero element has no degree")
+    u, v = max((j, k) for (_, j, k) in a.terms)
+    return LexDegree(u, v), xy_coefficient(a, u, v)
 
 
 def mono(ps, i, j, k, c=1):
