@@ -37,7 +37,8 @@ from .linalg import FieldMatrix, algebra_span_dim
 from .pbw import PbwElement, center_generators, generators, theta
 from .reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z, KIND_V1,
                    KIND_V2, KIND_V3, MatrixRep, ModuleDescriptor,
-                   build_from_descriptor, classify, iso_test, verify_relations)
+                   build_from_descriptor, classify, is_simple, iso_test,
+                   verify_relations)
 
 
 class UsageError(Exception):
@@ -352,8 +353,12 @@ def _cmd_module_simple(args):
     rep = _load_rep(args.infile)
     if not verify_relations(rep).ok:
         raise ValueError("module file does not satisfy the defining relations")
-    ident = FieldMatrix.identity(rep.d, rep.Mx.conductor)
-    span = algebra_span_dim([rep.Mx, rep.My, rep.Mz, ident])
+    # a simple module spans d^2; only a non-simple one needs the exact span
+    if is_simple(rep):
+        span = rep.d * rep.d
+    else:
+        ident = FieldMatrix.identity(rep.d, rep.Mx.conductor)
+        span = algebra_span_dim([rep.Mx, rep.My, rep.Mz, ident])
     payload = {"d": rep.d, "span_dim": span, "simple": span == rep.d * rep.d}
     lines = [f"d: {rep.d}", f"span_dim: {span}",
              f"simple: {_fmt(payload['simple'])}"]

@@ -192,6 +192,12 @@ def _parse_coord(text):
     return Fraction(text)
 
 
+def _check_conductor(conductor) -> None:
+    # a JSON conductor must be an integer; bool is an int subclass in Python
+    if type(conductor) is not int:
+        raise TypeError(f"conductor must be a JSON integer, got {conductor!r}")
+
+
 def _coord_str(x: int, den: int) -> str:
     # the text of the reduced fraction x/den, as str(Fraction(x, den))
     g = gcd(x, den)
@@ -430,7 +436,12 @@ class CycNumber:
 
     @classmethod
     def from_json(cls, data: dict) -> CycNumber:
-        return cls(data["conductor"], [_parse_coord(s) for s in data["coeffs"]])
+        """Read {"conductor": int, "coeffs": [coordinate, ...]}; other JSON types raise TypeError."""
+        conductor, coeffs = data["conductor"], data["coeffs"]
+        _check_conductor(conductor)
+        if type(coeffs) is not list:
+            raise TypeError(f"coeffs must be a JSON list, got {coeffs!r}")
+        return cls(conductor, [_parse_coord(s) for s in coeffs])
 
     def __str__(self) -> str:
         parts = []

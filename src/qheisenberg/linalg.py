@@ -16,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import CycNumber, _normalised, euler_phi
+from . import modular
+from .cyclotomic import CycNumber, _check_conductor, _normalised, euler_phi
 
 
 class FieldMatrix:
@@ -247,6 +248,7 @@ class FieldMatrix:
         if not data or not data[0]:
             raise ValueError("matrix needs at least one entry")
         conductor = data[0][0]["conductor"]
+        _check_conductor(conductor)
         zero = ["0"] * euler_phi(conductor)
         ncols = len(data[0])
         rows = []
@@ -255,7 +257,9 @@ class FieldMatrix:
                 raise ValueError("ragged rows")
             row = {}
             for j, e in enumerate(json_row):
-                if e["conductor"] != conductor:
+                c = e["conductor"]
+                if c != conductor or type(c) is not int:
+                    _check_conductor(c)
                     raise ValueError("mixed conductors in matrix")
                 if e["coeffs"] != zero:
                     v = CycNumber.from_json(e)
@@ -318,8 +322,11 @@ def row_reduce(mat: FieldMatrix):
 
 
 def is_invertible(mat: FieldMatrix) -> bool:
+    """Exact invertibility.  A full rank mod P proves it; a short one is rechecked exactly."""
     n, m = mat.shape
-    return n == m and row_reduce(mat)[1] == n
+    if n != m:
+        return False
+    return modular.rank(mat) == n or row_reduce(mat)[1] == n
 
 
 def scalar_of(mat: FieldMatrix) -> CycNumber | None:

@@ -22,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import modular
 from .arith import AlgebraParams, ord_formula
 from .cyclotomic import CycNumber, nth_root_in_field, roots_of_unity
-from .linalg import (FieldMatrix, algebra_span_dim, is_invertible,
-                     matrix_hom_space, row_reduce, scalar_of)
+from .linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
+                     is_invertible, matrix_hom_space, row_reduce, scalar_of)
 from .pbw import pq_number
 
 Z_TORSION = "Z_TORSION"
@@ -313,11 +314,53 @@ def theta_matrix(rep: MatrixRep) -> FieldMatrix:
 
 
 def is_simple(rep: MatrixRep) -> bool:
-    """Burnside test: the generators span the full matrix algebra."""
+    """Exact simplicity test, by certificate where one holds.
+
+    A module is simple exactly when its generators span all d x d
+    matrices (Burnside).  If they span d^2 dimensions modulo a prime P,
+    they span d^2 exactly, since reduction mod P can only lower a rank:
+    the module is simple.  If the spin of a standard basis vector under Mx, My and
+    Mz is a proper subspace, that subspace is a submodule: the module is
+    not simple.  When neither certificate holds, the exact span of
+    `algebra_span_dim` decides.  No answer is read from a short rank mod P.
+    """
     if not verify_relations(rep).ok:
         raise ValueError("relation check failed: input is not a module")
-    ident = FieldMatrix.identity(rep.d, rep.params.conductor)
-    return algebra_span_dim([rep.Mx, rep.My, rep.Mz, ident]) == rep.d * rep.d
+    return _decide_simple(rep)
+
+
+def _decide_simple(rep: MatrixRep) -> bool:
+    """is_simple without the relation check; classify shares it."""
+    d = rep.d
+    gens = [rep.Mx, rep.My, rep.Mz]
+    if modular.span_rank(gens) == d * d:
+        return True
+    if _spin_finds_submodule(gens, d):
+        return False
+    ident = FieldMatrix.identity(d, rep.params.conductor)
+    return algebra_span_dim(gens + [ident]) == d * d
+
+
+def _spin_finds_submodule(gens: list[FieldMatrix], d: int) -> bool:
+    # The spin of e_i is the span of e_i times every word in the
+    # generators; it is invariant, so a dimension below d shows a proper
+    # submodule.  Images of e_i, not echelon remainders, are multiplied
+    # on: fraction-free remainders fed back blow up on a dense basis.
+    cond = gens[0].conductor
+    for i in range(d):
+        ech = SparseEchelon(cond)
+        vecs = [FieldMatrix.from_entries(1, d, {(0, i): 1}, cond)]
+        ech.insert(vecs[0]._rows[0])
+        for vec in vecs:
+            if len(vecs) == d:
+                break
+            for g in gens:
+                image = vec * g
+                if ech.insert(image._rows[0]) is not None:
+                    vecs.append(image)
+        if len(vecs) < d:
+            return True
+    return False
 
 
 def _on_left_kernel(op: FieldMatrix, mat: FieldMatrix, kind: str,
@@ -393,11 +436,13 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
     Decides the torsion type from exact invertibility of the z and theta
     matrices, then of Mx and My; extracts the cycle scalar as a root of
     the central scalar Mx^l or My^l and the weight scalars from a joint
-    eigenvector.  The result is self-checked: the canonical build of the
-    returned descriptor admits an exact invertible intertwiner with the
-    input.  When ord(pq) < l several weight scalars describe the same V2
-    module; the first weight vector is used, deterministically.  Every
-    failure names the stage: "classify <kind>: ...".
+    eigenvector.  Simplicity is decided first, as in `is_simple`: a span
+    of rank d^2 mod a prime proves it, a spun submodule disproves it, and
+    the exact span decides otherwise.  The result is self-checked: the
+    canonical build of the returned descriptor admits an exact invertible
+    intertwiner with the input.  When ord(pq) < l several weight scalars
+    describe the same V2 module; the first weight vector is used,
+    deterministically.  Every failure names the stage: "classify <kind>: ...".
     """
     check = verify_relations(rep)
     if not check.ok:
@@ -406,7 +451,7 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
     d = rep.d
     cond = params.conductor
     ident = FieldMatrix.identity(d, cond)
-    if algebra_span_dim([rep.Mx, rep.My, rep.Mz, ident]) != d * d:
+    if not _decide_simple(rep):
         raise ValueError("input module is not simple")
 
     if d == 1:
@@ -587,14 +632,20 @@ def intertwiner(kind: str, desc_a: ModuleDescriptor,
 def find_intertwiner(rep_a: MatrixRep, rep_b: MatrixRep) -> FieldMatrix | None:
     """Solve the intertwining equations exactly; None if only P = 0.
 
-    For simple inputs a nonzero solution is automatically invertible
-    (Schur); a nonzero singular solution means some input was not
-    simple, and is reported as an error.
+    If the equations have full rank modulo a prime they have full rank
+    exactly, so only P = 0 solves them and None is returned without the
+    exact solve.  Otherwise `matrix_hom_space` solves them exactly.  For
+    simple inputs a nonzero solution is automatically invertible (Schur);
+    a nonzero singular solution means some input was not simple, and is
+    reported as an error.
     """
     if rep_a.params != rep_b.params:
         raise ValueError("params mismatch between modules")
-    basis = matrix_hom_space([rep_a.Mx, rep_a.My, rep_a.Mz],
-                             [rep_b.Mx, rep_b.My, rep_b.Mz])
+    gens_a = [rep_a.Mx, rep_a.My, rep_a.Mz]
+    gens_b = [rep_b.Mx, rep_b.My, rep_b.Mz]
+    if modular.hom_rank(gens_a, gens_b) == rep_a.d * rep_b.d:
+        return None
+    basis = matrix_hom_space(gens_a, gens_b)
     if not basis:
         return None
     for mat in basis:

@@ -231,8 +231,13 @@ class TestExitCodes:
          "Fraction(1, 0)"),
         (lambda data: data["Mz"][1].pop(), "ragged rows"),
         (lambda data: data.update(Mx=[]), "matrix needs at least one entry"),
+        (lambda data: data["Mx"][0].__setitem__(
+            1, {"conductor": 6, "coeffs": "10"}),
+         "coeffs must be a JSON list, got '10'"),
+        (lambda data: data["Mx"][0][0].update(conductor=True),
+         "conductor must be a JSON integer, got True"),
     ], ids=["short_zero_entry", "zero_at_other_conductor", "zero_denominator",
-            "ragged_row", "empty_matrix"])
+            "ragged_row", "empty_matrix", "string_coeffs", "bool_conductor"])
     def test_malformed_matrix_is_domain_error(self, tmp_path, capsys,
                                               edit, message):
         assert main(["module-build", "--m", "2", "--n", "3",
@@ -261,6 +266,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: malformed module file")
         assert "Traceback" not in captured.err
+
+    def test_module_simple_on_dense_basis(self, tmp_path, capsys):
+        # a V1 module in the basis of a random integer matrix: every
+        # matrix entry is nonzero, and the exact span alone ran past 120 s
+        import random
+        from qheisenberg.reps import build_v1
+        from test_reps import integer_conjugate
+
+        rep = integer_conjugate(build_v1(P23, 2, 3, 5), random.Random(6))
+        assert all(len(row) == 6 for row in rep.Mx._rows)
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(rep.to_json()))
+        assert main(["module-simple", "--in", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "d": 6, "span_dim": 36, "simple": True}
 
     def test_non_simple_module_is_domain_error(self, tmp_path, capsys):
         import io

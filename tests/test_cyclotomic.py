@@ -186,6 +186,19 @@ def test_serialization_roundtrip():
     assert CycNumber.from_json(data) == a
 
 
+@pytest.mark.parametrize("data", [
+    {"conductor": True, "coeffs": ["1"]},
+    {"conductor": 6.0, "coeffs": ["1", "0"]},
+    {"conductor": "6", "coeffs": ["1", "0"]},
+    {"conductor": 6, "coeffs": "10"},
+    {"conductor": 6, "coeffs": {"0": "1", "1": "0"}},
+], ids=["bool_conductor", "float_conductor", "string_conductor",
+        "string_coeffs", "object_coeffs"])
+def test_from_json_rejects_wrong_json_types(data):
+    with pytest.raises(TypeError):
+        CycNumber.from_json(data)
+
+
 def test_immutability_and_hash():
     a = zeta_power(6, 1)
     with pytest.raises(AttributeError):
