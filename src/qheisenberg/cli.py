@@ -9,8 +9,9 @@ output can be compared byte for byte.
 
 Exit codes: 0 on success, 1 for domain errors (inadmissible parameters,
 unreadable module files, non-simple input where a simple module is
-required), 2 for usage errors (bad flags, malformed expressions).  A
-usage error never produces partial output.
+required, an integer beyond the interpreter's limit on the digits of an
+int read or printed in decimal), 2 for usage errors (bad flags,
+malformed expressions).  A usage error never produces partial output.
 
 Expressions are built from the atoms x, y, z, theta, g, and integer or
 rational literals such as 7 and 3/2, where g is the primitive root of
@@ -498,13 +499,21 @@ def main(argv=None) -> int:
         return 2
     except (InvalidParameters, ConductorMismatch, ValueError,
             ZeroDivisionError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_domain_message(exc)}", file=sys.stderr)
         return 1
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
         print("\n".join(lines))
     return 0
+
+
+def _domain_message(exc: Exception) -> str:
+    # int <-> str conversion stops at the interpreter's digit limit, whose
+    # own message suggests changing interpreter state
+    if isinstance(exc, ValueError) and str(exc).startswith("Exceeds the limit ("):
+        return f"integer with more than {sys.get_int_max_str_digits()} digits"
+    return str(exc)
 
 
 if __name__ == "__main__":

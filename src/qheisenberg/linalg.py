@@ -14,6 +14,7 @@ representations.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from . import modular
@@ -482,9 +483,20 @@ def algebra_span_dim(mats: list[FieldMatrix]) -> int:
 
 def matrix_hom_space(mats_a: list[FieldMatrix],
                      mats_b: list[FieldMatrix]) -> list[FieldMatrix]:
-    """Basis of {P : A_i P = P B_i for all i}, exact.
+    """Basis of {P : A_g P = P B_g for all g}, exact.
 
-    A_i are d_a x d_a, B_i are d_b x d_b; P runs over d_a x d_b matrices.
+    A_g are d_a x d_a, B_g are d_b x d_b; P runs over d_a x d_b matrices.
+    Equation (g, i, j) says that entry (i, j) of A_g P - P B_g vanishes.
+    `modular.hom_pivots` picks the equations that are independent mod a
+    prime.  If all d_a * d_b unknowns get a pivot there, only P = 0
+    solves the system, and [] is returned without exact elimination.
+    Otherwise only the picked equations, built one at a time, go into the
+    exact echelon.  They are independent exactly too, but with an unlucky
+    prime they span less than the whole system, so every kernel matrix is
+    checked exactly against A_g P = P B_g.  If a check fails, or no
+    reduction mod the prime exists, every equation is inserted.  The
+    kernel basis depends only on the row space of the inserted equations,
+    so the answer does not depend on the prime.
     """
     if len(mats_a) != len(mats_b):
         raise ValueError("generator lists differ in length")
@@ -492,17 +504,32 @@ def matrix_hom_space(mats_a: list[FieldMatrix],
     db, conductor_b = _generator_size(mats_b)
     if conductor_b != conductor:
         raise ValueError("generator conductor mismatch")
+    pivots = modular.hom_pivots(mats_a, mats_b)
+    if pivots is not None and len(pivots) == da * db:
+        return []
+    b_cols = [b.transpose()._rows for b in mats_b]
+
+    def equation(g: int, i: int, j: int) -> dict:
+        # (A P)[i][j] - (P B)[i][j] = 0 in the unknowns P[t][s]
+        eq = {(t, j): v for t, v in mats_a[g]._rows[i].items()}
+        for t, v in b_cols[g][j].items():
+            cur = eq.get((i, t))
+            eq[(i, t)] = -v if cur is None else cur - v
+        return eq
+
     ech = SparseEchelon(conductor)
-    for a_mat, b_mat in zip(mats_a, mats_b):
-        b_cols = b_mat.transpose()._rows
-        for i, a_row in enumerate(a_mat._rows):
-            for j, b_col in enumerate(b_cols):
-                # (A P)[i][j] - (P B)[i][j] = 0 in the unknowns P[t][s]
-                eq = {(t, j): v for t, v in a_row.items()}
-                for t, v in b_col.items():
-                    cur = eq.get((i, t))
-                    eq[(i, t)] = -v if cur is None else cur - v
-                ech.insert(eq)
     unknowns = [(r, c) for r in range(da) for c in range(db)]
-    return [FieldMatrix.from_entries(da, db, sol, conductor)
-            for sol in ech.kernel_basis(unknowns)]
+
+    def kernel() -> list[FieldMatrix]:
+        return [FieldMatrix.from_entries(da, db, sol, conductor)
+                for sol in ech.kernel_basis(unknowns)]
+
+    if pivots is not None:
+        for pos in pivots:
+            ech.insert(equation(*pos))
+        basis = kernel()
+        if all(a * x == x * b for x in basis for a, b in zip(mats_a, mats_b)):
+            return basis
+    for pos in product(range(len(mats_a)), range(da), range(db)):
+        ech.insert(equation(*pos))
+    return kernel()

@@ -9,11 +9,16 @@ only fall under that map: every minor that vanishes exactly vanishes mod
 P.  So a full rank mod P proves a full exact rank, while a short rank
 mod P proves nothing.
 
-Every function here returns a rank mod P, or None when some entry has a
+`rank` and `span_rank` return a rank mod P; `hom_pivots` returns the
+positions of the hom-space equations that are independent mod P, which
+are independent exactly too.  Each returns None when some entry has a
 denominator divisible by P (or the matrices do not fit together) and so
-no reduction exists.  Callers read an answer from a rank only when it is
-full; otherwise they compute the exact answer.  The prime and w are
-found once per conductor, on first use.
+no reduction exists.  Callers read an answer from modular data alone
+only when the rank is full.  Otherwise they compute the exact answer:
+`linalg.matrix_hom_space` solves exactly from the admitted equations,
+verifies every kernel matrix exactly, and inserts every equation when a
+check fails.  The prime and w are found once per conductor, on first
+use.
 """
 
 from __future__ import annotations
@@ -200,11 +205,16 @@ def span_rank(mats) -> int | None:
     return len(ech.pivots)
 
 
-def hom_rank(mats_a, mats_b) -> int | None:
-    """Rank mod P of the equations A_i X = X B_i in the entries of X.
+def hom_pivots(mats_a, mats_b) -> list[tuple[int, int, int]] | None:
+    """The equations A_g X = X B_g that are independent mod P, by position.
 
-    X runs over d_a x d_b matrices, so a rank of d_a * d_b proves that
-    only X = 0 solves them exactly.
+    X runs over d_a x d_b matrices.  Equation (g, i, j) says that entry
+    (i, j) of A_g X - X B_g vanishes.  The equations are walked in that
+    order, g first, and the positions whose reduction the F_P echelon
+    admits are returned in order; the walk stops once d_a * d_b are
+    admitted.  Equations independent mod P are independent exactly, so
+    d_a * d_b positions prove that only X = 0 solves them, and fewer
+    positions prove nothing.
     """
     if (len(mats_a) != len(mats_b) or not mats_a
             or mats_a[0].conductor != mats_b[0].conductor):
@@ -217,7 +227,8 @@ def hom_rank(mats_a, mats_b) -> int | None:
     _, db, gens_b = red_b
     full = da * db
     ech = _Echelon(prime)
-    for a_rows, b_rows in zip(gens_a, gens_b):
+    admitted: list[tuple[int, int, int]] = []
+    for g, (a_rows, b_rows) in enumerate(zip(gens_a, gens_b)):
         b_cols: list[dict] = [{} for _ in range(db)]
         for t, row in enumerate(b_rows):
             for j, v in row.items():
@@ -233,6 +244,8 @@ def hom_rank(mats_a, mats_b) -> int | None:
                         eq[k] = x
                     else:
                         eq.pop(k, None)
-                if eq and ech.insert(eq) and len(ech.pivots) == full:
-                    return full
-    return len(ech.pivots)
+                if eq and ech.insert(eq):
+                    admitted.append((g, i, j))
+                    if len(admitted) == full:
+                        return admitted
+    return admitted

@@ -390,11 +390,12 @@ def _matrix_eigenvalue(mat: FieldMatrix, exponent: int, kind: str,
 
     Scans diagonal entries first (weight modules are upper-triangular in
     a suitable order, so this almost always hits), then falls back to
-    root candidates of the scalar mat^exponent.
+    root candidates of the scalar mat^exponent.  A candidate t is an
+    eigenvalue iff mat - t*I is singular; `is_invertible` rejects most
+    candidates by a full rank mod P, without exact elimination.
     """
-    s = mat.shape[0]
     cond = mat.conductor
-    ident = FieldMatrix.identity(s, cond)
+    ident = FieldMatrix.identity(mat.shape[0], cond)
     zero = CycNumber.zero(cond)
     seen = []
     for i, row in enumerate(mat._rows):
@@ -402,7 +403,7 @@ def _matrix_eigenvalue(mat: FieldMatrix, exponent: int, kind: str,
         if t in seen:
             continue
         seen.append(t)
-        if row_reduce(mat - ident.scale(t))[1] < s:
+        if not is_invertible(mat - ident.scale(t)):
             return t
     power = scalar_of(mat ** exponent)
     if power is not None and not power.is_zero():
@@ -411,7 +412,7 @@ def _matrix_eigenvalue(mat: FieldMatrix, exponent: int, kind: str,
             for w in roots_of_unity(cond):
                 cand = base * w
                 if cand ** exponent == power and cand not in seen:
-                    if row_reduce(mat - ident.scale(cand))[1] < s:
+                    if not is_invertible(mat - ident.scale(cand)):
                         return cand
     raise ValueError(f"classify {kind}: no eigenvalue of {name} "
                      "in the working field")
@@ -632,19 +633,19 @@ def intertwiner(kind: str, desc_a: ModuleDescriptor,
 def find_intertwiner(rep_a: MatrixRep, rep_b: MatrixRep) -> FieldMatrix | None:
     """Solve the intertwining equations exactly; None if only P = 0.
 
-    If the equations have full rank modulo a prime they have full rank
-    exactly, so only P = 0 solves them and None is returned without the
-    exact solve.  Otherwise `matrix_hom_space` solves them exactly.  For
-    simple inputs a nonzero solution is automatically invertible (Schur);
-    a nonzero singular solution means some input was not simple, and is
-    reported as an error.
+    `matrix_hom_space` holds the zero-hom certificate: if the equations
+    have full rank modulo a prime, only P = 0 solves them and no exact
+    elimination runs.  Otherwise it solves the equations independent mod
+    the prime exactly and verifies each basis matrix exactly, inserting
+    every equation if a check fails.  For simple inputs a nonzero
+    solution is automatically invertible (Schur); a nonzero singular
+    solution means some input was not simple, and is reported as an
+    error.
     """
     if rep_a.params != rep_b.params:
         raise ValueError("params mismatch between modules")
     gens_a = [rep_a.Mx, rep_a.My, rep_a.Mz]
     gens_b = [rep_b.Mx, rep_b.My, rep_b.Mz]
-    if modular.hom_rank(gens_a, gens_b) == rep_a.d * rep_b.d:
-        return None
     basis = matrix_hom_space(gens_a, gens_b)
     if not basis:
         return None

@@ -199,6 +199,20 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: exponent beyond the degree cap 1000000\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["normal-form", "--m", "2", "--n", "3", "2^15000"],
+        ["module-build", "--m", "2", "--n", "3", "--kind", "V3",
+         "--lam", "2^15000"],
+    ])
+    def test_integer_beyond_digit_limit_is_domain_error(self, argv, capsys):
+        # 2^15000 has 4516 decimal digits, past the interpreter's default
+        # limit of 4300 on int <-> str conversion, which stays in force
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == f"error: integer with more than {limit} digits\n"
+
     @pytest.mark.parametrize("edit, message", [
         (lambda data: data.update(d=5), "Mx is 1x1, but d is 5"),
         (lambda data: data["Mx"][0].append(data["Mx"][0][0]),

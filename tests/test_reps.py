@@ -1,5 +1,6 @@
 """Module builders, simplicity, classification, and isomorphism tests."""
 
+import functools
 import os
 import random
 import subprocess
@@ -13,8 +14,9 @@ import sympy
 from qheisenberg import modular
 from qheisenberg.arith import derive_params, ord_formula, pi_degree, valid_pairs
 from qheisenberg.cyclotomic import CycNumber, cyclotomic_polynomial, zeta_power
-from qheisenberg.linalg import (FieldMatrix, algebra_span_dim, is_invertible,
-                                matrix_hom_space, row_reduce, scalar_of)
+from qheisenberg.linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
+                                is_invertible, matrix_hom_space, row_reduce,
+                                scalar_of)
 from qheisenberg.reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
                               KIND_V1, KIND_V2, KIND_V3, THETA_TORSION,
                               Z_TORSION, MatrixRep, ModuleDescriptor,
@@ -728,7 +730,7 @@ class TestCertificates:
             mods.append(direct_sum(mods[0], mods[5]))
             for a in mods:
                 for b in mods:
-                    certified = modular.hom_rank(gens(a), gens(b)) == a.d * b.d
+                    certified = len(modular.hom_pivots(gens(a), gens(b))) == a.d * b.d
                     exact = matrix_hom_space(gens(a), gens(b))
                     assert certified == (exact == []), \
                         (params.m, params.n, a.d, b.d)
@@ -758,7 +760,7 @@ class TestCertificates:
 
         monkeypatch.setattr("qheisenberg.reps.algebra_span_dim", counted)
         monkeypatch.setattr(modular, "span_rank", lambda mats: 0)
-        monkeypatch.setattr(modular, "hom_rank", lambda a, b: 0)
+        monkeypatch.setattr(modular, "hom_pivots", lambda a, b: [])
         monkeypatch.setattr(modular, "rank", lambda mat: 0)
         v1 = build_v1(P23, zeta_power(6, 1), 2, 3)
         other = build_v1(P23, zeta_power(6, 1), 3, 3)
@@ -774,7 +776,7 @@ class TestCertificates:
         v1 = build_v1(P23, Fraction(1, prime), 2, 3)
         other = build_v1(P23, Fraction(1, prime), 3, 3)
         assert modular.span_rank(gens(v1)) is None
-        assert modular.hom_rank(gens(v1), gens(other)) is None
+        assert modular.hom_pivots(gens(v1), gens(other)) is None
         assert modular.rank(v1.Mx) is None
         assert is_simple(v1)
         assert is_invertible(v1.Mx)
@@ -820,7 +822,7 @@ class TestCertificates:
             no_reduction = reps.build_v1(params, Fraction(1, prime), 2, 3)
             print(reps.is_simple(no_reduction), len(calls))
             modular.span_rank = lambda mats: 0
-            modular.hom_rank = lambda a, b: 0
+            modular.hom_pivots = lambda a, b: []
             v1 = reps.build_v1(params, 1, 2, 3)
             other = reps.build_v1(params, 1, 3, 3)
             print(reps.is_simple(v1), len(calls),
@@ -833,6 +835,92 @@ class TestCertificates:
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.split("\n") == ["True 1", "True 2 None", ""]
+
+
+def reference_hom_space(mats_a, mats_b):
+    """Every equation (g, i, j) of A_g P = P B_g into one echelon, read densely."""
+    da, db = mats_a[0].shape[0], mats_b[0].shape[0]
+    cond = mats_a[0].conductor
+    ech = SparseEchelon(cond)
+    for a_mat, b_mat in zip(mats_a, mats_b):
+        a_rows, b_rows = a_mat.rows, b_mat.rows
+        for i in range(da):
+            for j in range(db):
+                eq = {}
+                for t in range(da):
+                    eq[(t, j)] = eq.get((t, j), 0) + a_rows[i][t]
+                for t in range(db):
+                    eq[(i, t)] = eq.get((i, t), 0) - b_rows[t][j]
+                ech.insert(eq)
+    unknowns = [(r, c) for r in range(da) for c in range(db)]
+    return [FieldMatrix.from_entries(da, db, sol, cond)
+            for sol in ech.kernel_basis(unknowns)]
+
+
+@functools.lru_cache(maxsize=1)
+def hom_space_cases():
+    """(A, B, reference basis) for l <= 6: every family, sums, dense conjugates."""
+    rng = random.Random(36)
+    cases = []
+    dense_done = set()
+    for params in all_params(6):
+        v1, v2, v3, qz, qt = mods = families(params, rng)
+        pairs = [(m, m) for m in mods] + [(v1, v2), (v3, qz), (qt, qz)]
+        pairs += [(direct_sum(v1, v1), v1), (v2, direct_sum(v2, v3))]
+        # the dense solves dominate; the first parameter set of each
+        # conductor takes them
+        if params.conductor not in dense_done:
+            dense_done.add(params.conductor)
+            pairs += [(integer_conjugate(m, rng), m) for m in (v1, qt)]
+        for a, b in pairs:
+            cases.append((a, b, reference_hom_space(gens(a), gens(b))))
+    return cases
+
+
+def _drop_first(pivots):
+    return None if pivots is None else pivots[1:]
+
+
+def _drop_last(pivots):
+    return None if pivots is None else pivots[:-1]
+
+
+class TestHomSpace:
+    """matrix_hom_space: equations picked mod P, kernels checked exactly."""
+
+    @pytest.mark.parametrize("stub", [None, _drop_first, _drop_last,
+                                      lambda pivots: []],
+                             ids=["pivots", "drop_first", "drop_last", "none"])
+    def test_matches_reference_solve(self, stub, monkeypatch):
+        cases = hom_space_cases()
+        if stub is not None:
+            real = modular.hom_pivots
+            monkeypatch.setattr(modular, "hom_pivots",
+                                lambda a, b: stub(real(a, b)))
+        for a, b, want in cases:
+            got = matrix_hom_space(gens(a), gens(b))
+            where = (a.params.m, a.params.n, a.d, b.d)
+            assert len(got) == len(want), where
+            for x, y in zip(got, want):
+                assert x == y, where
+
+    def test_isomorphic_pair_inserts_only_admitted_equations(self, monkeypatch):
+        # a simple pair has a one-dimensional hom space, so d^2 - 1 of the
+        # 3 d^2 equations are independent; only those reach the exact echelon
+        calls = []
+        insert = SparseEchelon.insert
+
+        def counted(self, vec):
+            calls.append(1)
+            return insert(self, vec)
+
+        monkeypatch.setattr(SparseEchelon, "insert", counted)
+        v1 = build_v1(P23, zeta_power(6, 1), 2, 3)
+        dense = integer_conjugate(v1, random.Random(37))
+        for other in (v1, dense):
+            calls.clear()
+            assert len(matrix_hom_space(gens(v1), gens(other))) == 1
+            assert len(calls) == v1.d ** 2 - 1
 
 
 class TestDenseBasis:
