@@ -23,7 +23,7 @@ import dataclasses
 import functools
 import math
 
-from .cyclotomic import CycNumber, zeta_power
+from .cyclotomic import CycNumber, _check_json_int, zeta_power
 
 ALWAYS_MAX = "ALWAYS_MAX"
 ALWAYS_NONMAX = "ALWAYS_NONMAX"
@@ -61,6 +61,10 @@ class AlgebraParams:
 
     @classmethod
     def from_json(cls, data: dict) -> AlgebraParams:
+        for key in ("m", "n", "k1", "k2"):
+            _check_json_int(data[key], key)
+        if "conductor" in data:
+            _check_json_int(data["conductor"])
         return derive_params(data["m"], data["n"], data["k1"], data["k2"],
                              conductor=data.get("conductor"))
 
@@ -128,24 +132,27 @@ def derive_params(m: int, n: int, k1: int | None = None, k2: int | None = None,
         raise InvalidParameters("orders m, n must be >= 1")
     if m == 1 and n == 1:
         raise InvalidParameters("m = n = 1 forces p = q = 1, excluded")
+    if k1 is not None and not (0 <= k1 < m):
+        raise InvalidParameters(f"k1 must satisfy 0 <= k1 < m, got {k1}")
+    if k2 is not None and not (0 <= k2 < n):
+        raise InvalidParameters(f"k2 must satisfy 0 <= k2 < n, got {k2}")
+    if k1 is not None and math.gcd(k1, m) != 1:
+        raise InvalidParameters(f"gcd(k1, m) = gcd({k1}, {m}) != 1")
+    if k2 is not None and math.gcd(k2, n) != 1:
+        raise InvalidParameters(f"gcd(k2, n) = gcd({k2}, {n}) != 1")
     if k1 is None or k2 is None:
         pairs = valid_pairs(m, n)
         if not pairs:
             raise InvalidParameters(f"no admissible parameters for (m, n) = ({m}, {n})")
-        if k1 is None and k2 is None:
-            k1, k2 = pairs[0]
-        elif k1 is None:
-            k1 = min(a for a, b in pairs if b == k2)
-        else:
-            k2 = min(b for a, b in pairs if a == k1)
-    if not (0 <= k1 < m):
-        raise InvalidParameters(f"k1 must satisfy 0 <= k1 < m, got {k1}")
-    if not (0 <= k2 < n):
-        raise InvalidParameters(f"k2 must satisfy 0 <= k2 < n, got {k2}")
-    if math.gcd(k1, m) != 1:
-        raise InvalidParameters(f"gcd(k1, m) = gcd({k1}, {m}) != 1")
-    if math.gcd(k2, n) != 1:
-        raise InvalidParameters(f"gcd(k2, n) = gcd({k2}, {n}) != 1")
+        # pairs are sorted, so the first fit pairs a given index with its
+        # smallest partner
+        fit = next(((a, b) for a, b in pairs
+                    if k1 in (None, a) and k2 in (None, b)), None)
+        if fit is None:
+            name, k = ("k1", k1) if k2 is None else ("k2", k2)
+            raise InvalidParameters(f"{name} = {k} has no admissible partner "
+                                    f"index for (m, n) = ({m}, {n})")
+        k1, k2 = fit
     if not is_valid_pair(m, n, k1, k2):
         raise InvalidParameters(
             f"(k1, k2) = ({k1}, {k2}) gives p*q = 1, excluded")
@@ -305,17 +312,16 @@ def ord_formula(m: int, n: int, k1: int, k2: int) -> int:
     return v1
 
 
-def ord_pq(params: AlgebraParams, cross_check: bool = True) -> int:
+def ord_pq(params: AlgebraParams) -> int:
     """Multiplicative order of p*q; cross-checked against the field element."""
+    from .cyclotomic import order_of_unit
     value = ord_formula(params.m, params.n, params.k1, params.k2)
-    if cross_check:
-        from .cyclotomic import order_of_unit
-        in_field = order_of_unit(params.p * params.q)
-        if in_field != value:
-            raise ArithmeticError(
-                f"ord_pq(m={params.m}, n={params.n}, k1={params.k1}, "
-                f"k2={params.k2}): formula gives {value}, the field element "
-                f"has order {in_field}")
+    in_field = order_of_unit(params.p * params.q)
+    if in_field != value:
+        raise ArithmeticError(
+            f"ord_pq(m={params.m}, n={params.n}, k1={params.k1}, "
+            f"k2={params.k2}): formula gives {value}, the field element "
+            f"has order {in_field}")
     return value
 
 

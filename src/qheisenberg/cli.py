@@ -30,6 +30,7 @@ import json
 import sys
 from fractions import Fraction
 
+from . import modular
 from .arith import (AlgebraParams, InvalidParameters, derive_params, ord_pq,
                     pi_degree, pi_degree_snf, relation_matrix, scan_orders,
                     smith_normal_form)
@@ -38,7 +39,7 @@ from .linalg import FieldMatrix, algebra_span_dim
 from .pbw import PbwElement, center_generators, generators, theta
 from .reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z, KIND_V1,
                    KIND_V2, KIND_V3, MatrixRep, ModuleDescriptor,
-                   build_from_descriptor, classify, is_simple, iso_test,
+                   build_from_descriptor, classify, iso_test,
                    verify_relations)
 
 
@@ -354,12 +355,13 @@ def _cmd_module_simple(args):
     rep = _load_rep(args.infile)
     if not verify_relations(rep).ok:
         raise ValueError("module file does not satisfy the defining relations")
-    # a simple module spans d^2; only a non-simple one needs the exact span
-    if is_simple(rep):
-        span = rep.d * rep.d
-    else:
+    # a span of rank d^2 mod P is d^2 exactly; otherwise the exact span
+    # is computed once and gives both span_dim and the answer
+    gens = [rep.Mx, rep.My, rep.Mz]
+    span = rep.d * rep.d
+    if modular.span_rank(gens) != span:
         ident = FieldMatrix.identity(rep.d, rep.Mx.conductor)
-        span = algebra_span_dim([rep.Mx, rep.My, rep.Mz, ident])
+        span = algebra_span_dim(gens + [ident])
     payload = {"d": rep.d, "span_dim": span, "simple": span == rep.d * rep.d}
     lines = [f"d: {rep.d}", f"span_dim: {span}",
              f"simple: {_fmt(payload['simple'])}"]

@@ -26,8 +26,6 @@ import math
 from fractions import Fraction
 from math import gcd
 
-Rational = Fraction
-
 
 class ConductorMismatch(ValueError):
     """Raised when combining elements of different cyclotomic fields."""
@@ -192,10 +190,10 @@ def _parse_coord(text):
     return Fraction(text)
 
 
-def _check_conductor(conductor) -> None:
-    # a JSON conductor must be an integer; bool is an int subclass in Python
-    if type(conductor) is not int:
-        raise TypeError(f"conductor must be a JSON integer, got {conductor!r}")
+def _check_json_int(value, name: str = "conductor") -> None:
+    # a JSON integer field must be an int; bool is an int subclass in Python
+    if type(value) is not int:
+        raise TypeError(f"{name} must be a JSON integer, got {value!r}")
 
 
 def _coord_str(x: int, den: int) -> str:
@@ -438,7 +436,7 @@ class CycNumber:
     def from_json(cls, data: dict) -> CycNumber:
         """Read {"conductor": int, "coeffs": [coordinate, ...]}; other JSON types raise TypeError."""
         conductor, coeffs = data["conductor"], data["coeffs"]
-        _check_conductor(conductor)
+        _check_json_int(conductor)
         if type(coeffs) is not list:
             raise TypeError(f"coeffs must be a JSON list, got {coeffs!r}")
         return cls(conductor, [_parse_coord(s) for s in coeffs])

@@ -4,9 +4,9 @@ One sparse matrix type, `FieldMatrix`, holds every module matrix: each
 row keeps only its nonzero CycNumber entries.  The representation
 matrices here have at most one nonzero entry per row (diagonal, cyclic
 shift, or shift times diagonal), so products, sums and relation residuals
-cost O(nonzeros) rather than O(l^3).  On top of it sit Gauss-Jordan
-reduction and fraction-free sparse elimination for the two closure
-problems that dominate runtime: the dimension of a matrix algebra
+cost O(nonzeros) rather than O(l^3).  On top of it sits one exact
+elimination, the fraction-free `SparseEchelon`.  It serves every exact
+rank, kernel and span: `row_reduce`, the dimension of a matrix algebra
 generated by a few matrices, and the space of intertwiners between two
 representations.
 """
@@ -18,7 +18,7 @@ from itertools import product
 from math import gcd, lcm
 
 from . import modular
-from .cyclotomic import CycNumber, _check_conductor, _normalised, euler_phi
+from .cyclotomic import CycNumber, _check_json_int, _normalised, euler_phi
 
 
 class FieldMatrix:
@@ -249,7 +249,7 @@ class FieldMatrix:
         if not data or not data[0]:
             raise ValueError("matrix needs at least one entry")
         conductor = data[0][0]["conductor"]
-        _check_conductor(conductor)
+        _check_json_int(conductor)
         zero = ["0"] * euler_phi(conductor)
         ncols = len(data[0])
         rows = []
@@ -260,7 +260,7 @@ class FieldMatrix:
             for j, e in enumerate(json_row):
                 c = e["conductor"]
                 if c != conductor or type(c) is not int:
-                    _check_conductor(c)
+                    _check_json_int(c)
                     raise ValueError("mixed conductors in matrix")
                 if e["coeffs"] != zero:
                     v = CycNumber.from_json(e)
@@ -276,50 +276,33 @@ def _make(shape: tuple[int, int], rows, conductor: int) -> FieldMatrix:
 
 
 def row_reduce(mat: FieldMatrix):
-    """Exact Gauss-Jordan.  Returns (rref, rank, nullspace basis).
+    """Reduced row echelon form, rank and nullspace basis, exact.
 
-    Nullspace vectors are tuples of CycNumber, one per free column, each
-    one-hot on its own free column.
+    The rows go into one `SparseEchelon`.  Nullspace vectors are tuples
+    of CycNumber, one per free column, each one-hot on its own free
+    column.  Row t of the rref is 1 at the t-th pivot column c and, at
+    each free column f, minus entry c of the nullspace vector of f; the
+    rank rows are followed by zero rows.  Both outputs depend only on the
+    row space, not on the order of elimination.
     """
-    nrows, ncols = mat.shape
     conductor = mat.conductor
+    ncols = mat.shape[1]
+    ech = SparseEchelon(conductor)
+    for row in mat._rows:
+        ech.insert(row)
+    pivot_cols = sorted(ech.pivots)
+    free_cols = [c for c in range(ncols) if c not in ech.pivots]
+    kernel = ech.kernel_basis(range(ncols))
+    rows: list[dict] = [{c: CycNumber.one(conductor)} for c in pivot_cols]
+    for f, sol in zip(free_cols, kernel):
+        for row, c in zip(rows, pivot_cols):
+            if c in sol:
+                row[f] = -sol[c]
+    rows += [{} for _ in range(mat.shape[0] - ech.rank)]
     zero = CycNumber.zero(conductor)
-    one = CycNumber.one(conductor)
-    rows = [dict(r) for r in mat._rows]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if c in rows[i]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        prow = rows[r] = {j: e * inv for j, e in rows[r].items()}
-        for i in range(nrows):
-            f = rows[i].get(c) if i != r else None
-            if f is None:
-                continue
-            row = rows[i]
-            for j, b in prow.items():
-                v = row.get(j, zero) - f * b
-                if v.is_zero():
-                    row.pop(j, None)
-                else:
-                    row[j] = v
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    rank = r
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    nullspace = []
-    for f in free_cols:
-        vec = [zero] * ncols
-        vec[f] = one
-        for t, c in enumerate(pivot_cols):
-            vec[c] = -rows[t].get(f, zero)
-        nullspace.append(tuple(vec))
-    return _make(mat.shape, rows, conductor), rank, nullspace
+    nullspace = [tuple(sol.get(j, zero) for j in range(ncols))
+                 for sol in kernel]
+    return _make(mat.shape, rows, conductor), ech.rank, nullspace
 
 
 def is_invertible(mat: FieldMatrix) -> bool:

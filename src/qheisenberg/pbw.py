@@ -83,7 +83,8 @@ class PbwElement:
 
     @classmethod
     def scalar(cls, params: AlgebraParams, c) -> PbwElement:
-        return cls(params, {(0, 0, 0): _coerce_scalar(params, c)})
+        return cls(params,
+                   {(0, 0, 0): _coerce_scalar(params, c, nonzero=False)})
 
     @classmethod
     def one(cls, params: AlgebraParams) -> PbwElement:
@@ -92,7 +93,8 @@ class PbwElement:
     @classmethod
     def monomial(cls, params: AlgebraParams, i: int, j: int, k: int,
                  coeff=1) -> PbwElement:
-        return cls(params, {(i, j, k): _coerce_scalar(params, coeff)})
+        return cls(params,
+                   {(i, j, k): _coerce_scalar(params, coeff, nonzero=False)})
 
     # --- ring structure ----------------------------------------------------
 
@@ -129,7 +131,7 @@ class PbwElement:
         return (-self) + other
 
     def scale(self, c) -> PbwElement:
-        c = _coerce_scalar(self.params, c)
+        c = _coerce_scalar(self.params, c, nonzero=False)
         return PbwElement(self.params,
                           {k: v * c for k, v in self.terms.items()})
 
@@ -209,12 +211,23 @@ class PbwElement:
                             for t in data["terms"]})
 
 
-def _coerce_scalar(params: AlgebraParams, c) -> CycNumber:
-    if isinstance(c, CycNumber):
-        if c.conductor != params.conductor:
-            raise ValueError("scalar conductor differs from params conductor")
-        return c
-    return CycNumber.from_rational(params.conductor, c)
+def _coerce_scalar(params: AlgebraParams, value, name: str = "scalar",
+                   nonzero: bool = True) -> CycNumber:
+    """value in Q(zeta_conductor); a CycNumber of a subfield is embedded."""
+    if isinstance(value, CycNumber):
+        if value.conductor != params.conductor:
+            if params.conductor % value.conductor == 0:
+                value = value.embed(params.conductor)
+            else:
+                raise ValueError(
+                    f"{name} lies outside Q(zeta_{params.conductor})")
+    elif isinstance(value, (int, Fraction)):
+        value = CycNumber.from_rational(params.conductor, value)
+    else:
+        raise TypeError(f"{name} must be a CycNumber, int, or Fraction")
+    if nonzero and value.is_zero():
+        raise ValueError(f"{name} must be nonzero")
+    return value
 
 
 def generators(params: AlgebraParams) -> tuple[PbwElement, PbwElement, PbwElement]:

@@ -20,14 +20,14 @@ and to one-dimensional modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import modular
 from .arith import AlgebraParams, ord_formula
-from .cyclotomic import CycNumber, nth_root_in_field, roots_of_unity
+from .cyclotomic import (CycNumber, _check_json_int, nth_root_in_field,
+                         roots_of_unity)
 from .linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
                      is_invertible, matrix_hom_space, row_reduce, scalar_of)
-from .pbw import pq_number
+from .pbw import _coerce_scalar, pq_number
 
 Z_TORSION = "Z_TORSION"
 THETA_TORSION = "THETA_TORSION"
@@ -67,6 +67,7 @@ class MatrixRep:
         """Load a module file, checking every matrix against d and params."""
         params = AlgebraParams.from_json(data["params"])
         d = data["d"]
+        _check_json_int(d, "d")
         mats = {}
         for name in ("Mx", "My", "Mz"):
             mat = FieldMatrix.from_json(data[name])
@@ -121,24 +122,6 @@ class ModuleDescriptor:
 class RelationCheck:
     ok: bool
     residuals: dict
-
-
-def _coerce_scalar(params: AlgebraParams, value, name: str,
-                   nonzero: bool = True) -> CycNumber:
-    if isinstance(value, CycNumber):
-        if value.conductor != params.conductor:
-            if params.conductor % value.conductor == 0:
-                value = value.embed(params.conductor)
-            else:
-                raise ValueError(
-                    f"{name} lies outside Q(zeta_{params.conductor})")
-    elif isinstance(value, (int, Fraction)):
-        value = CycNumber.from_rational(params.conductor, value)
-    else:
-        raise TypeError(f"{name} must be a CycNumber, int, or Fraction")
-    if nonzero and value.is_zero():
-        raise ValueError(f"{name} must be nonzero")
-    return value
 
 
 def _powers(base: CycNumber, count: int) -> list[CycNumber]:
@@ -326,11 +309,6 @@ def is_simple(rep: MatrixRep) -> bool:
     """
     if not verify_relations(rep).ok:
         raise ValueError("relation check failed: input is not a module")
-    return _decide_simple(rep)
-
-
-def _decide_simple(rep: MatrixRep) -> bool:
-    """is_simple without the relation check; classify shares it."""
     d = rep.d
     gens = [rep.Mx, rep.My, rep.Mz]
     if modular.span_rank(gens) == d * d:
@@ -437,23 +415,19 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
     Decides the torsion type from exact invertibility of the z and theta
     matrices, then of Mx and My; extracts the cycle scalar as a root of
     the central scalar Mx^l or My^l and the weight scalars from a joint
-    eigenvector.  Simplicity is decided first, as in `is_simple`: a span
-    of rank d^2 mod a prime proves it, a spun submodule disproves it, and
-    the exact span decides otherwise.  The result is self-checked: the
-    canonical build of the returned descriptor admits an exact invertible
-    intertwiner with the input.  When ord(pq) < l several weight scalars
-    describe the same V2 module; the first weight vector is used,
-    deterministically.  Every failure names the stage: "classify <kind>: ...".
+    eigenvector.  Simplicity is decided first, by `is_simple`.  The result
+    is self-checked: the canonical build of the returned descriptor admits
+    an exact invertible intertwiner with the input.  When ord(pq) < l
+    several weight scalars describe the same V2 module; the first weight
+    vector is used, deterministically.  Every failure names the stage:
+    "classify <kind>: ...".
     """
-    check = verify_relations(rep)
-    if not check.ok:
-        raise ValueError("relation check failed: input is not a module")
+    if not is_simple(rep):
+        raise ValueError("input module is not simple")
     params = rep.params
     d = rep.d
     cond = params.conductor
     ident = FieldMatrix.identity(d, cond)
-    if not _decide_simple(rep):
-        raise ValueError("input module is not simple")
 
     if d == 1:
         desc = ModuleDescriptor(KIND_ONE_DIM, mu=rep.Mx[0][0],

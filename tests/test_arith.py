@@ -63,6 +63,18 @@ def test_derive_params_rejects_pq_one():
         derive_params(3, 3, 1, 2)
 
 
+def test_derive_params_partner_of_a_given_index(monkeypatch):
+    assert derive_params(2, 3, k1=1) == derive_params(2, 3, 1, 1)
+    assert derive_params(4, 6, k2=5) == derive_params(4, 6, 1, 5)
+    # a valid index always has a partner once (m, n) admits a pair, so
+    # the message is reached only through a stubbed pair list
+    monkeypatch.setattr("qheisenberg.arith.valid_pairs", lambda m, n: [(1, 1)])
+    with pytest.raises(InvalidParameters) as err:
+        derive_params(2, 3, k2=2)
+    assert str(err.value) == ("k2 = 2 has no admissible partner index "
+                              "for (m, n) = (2, 3)")
+
+
 def test_derive_params_rejects_bad_gcd_and_range():
     with pytest.raises(InvalidParameters):
         derive_params(4, 4, 2, 1)
@@ -225,7 +237,7 @@ def test_ord_pq_anchors():
 
 def test_ord_pq_field_cross_check_up_to_24():
     for ps in all_params(24):
-        value = ord_pq(ps, cross_check=False)
+        value = ord_pq(ps)
         assert order_of_unit(ps.p * ps.q) == value
         assert ps.l % value == 0
         if math.gcd(ps.m, ps.n) == 1:

@@ -266,6 +266,42 @@ class TestExitCodes:
         assert captured.err.startswith("error: ") and message in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data.update(d=True), "d must be a JSON integer, got True"),
+        (lambda data: data.update(d=6.0), "d must be a JSON integer, got 6.0"),
+        (lambda data: data["params"].update(m=True),
+         "m must be a JSON integer, got True"),
+        (lambda data: data["params"].update(k2=1.0),
+         "k2 must be a JSON integer, got 1.0"),
+        (lambda data: data["params"].update(conductor="6"),
+         "conductor must be a JSON integer, got '6'"),
+    ], ids=["bool_d", "float_d", "bool_m", "float_k2", "string_conductor"])
+    @pytest.mark.parametrize("command", ["module-verify", "module-simple",
+                                         "module-classify"])
+    def test_non_integer_field_is_malformed(self, tmp_path, capsys, edit,
+                                           message, command):
+        assert main(["module-build", "--m", "2", "--n", "3",
+                     "--kind", "V3", "--lam", "1"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        edit(data)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data))
+        assert main([command, "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed module file {path}: {message}\n"
+
+    @pytest.mark.parametrize("index, message", [
+        (["--k1", "5"], "k1 must satisfy 0 <= k1 < m, got 5"),
+        (["--k1", "0"], "gcd(k1, m) = gcd(0, 2) != 1"),
+        (["--k2", "3"], "k2 must satisfy 0 <= k2 < n, got 3"),
+    ], ids=["k1_out_of_range", "k1_not_coprime", "k2_out_of_range"])
+    def test_index_given_alone_is_validated(self, capsys, index, message):
+        assert main(["order", "--m", "2", "--n", "3"] + index) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_float_conductor_is_domain_error(self, tmp_path, capsys):
         assert main(["module-build", "--m", "2", "--n", "3",
                      "--kind", "V3", "--lam", "1"]) == 0
@@ -295,6 +331,35 @@ class TestExitCodes:
         assert main(["module-simple", "--in", str(path)]) == 0
         assert json.loads(capsys.readouterr().out) == {
             "d": 6, "span_dim": 36, "simple": True}
+
+    def test_module_simple_runs_one_exact_span(self, tmp_path, capsys,
+                                               monkeypatch):
+        # two one-dimensional modules summed in a dense basis: the span is
+        # short mod P and no standard basis vector spins to a submodule, so
+        # only the exact span answers, and it also gives span_dim
+        import random
+        from qheisenberg import linalg, reps
+        from qheisenberg.reps import build_one_dim, direct_sum
+        from test_reps import integer_conjugate
+
+        rep = integer_conjugate(direct_sum(build_one_dim(P23, 1, 0, 0),
+                                           build_one_dim(P23, 2, 0, 0)),
+                                random.Random(1))
+        assert all(len(row) == 2 for row in rep.Mx._rows)
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(rep.to_json()))
+        calls = []
+
+        def counted(mats):
+            calls.append(len(mats))
+            return linalg.algebra_span_dim(mats)
+
+        monkeypatch.setattr(cli, "algebra_span_dim", counted)
+        monkeypatch.setattr(reps, "algebra_span_dim", counted)
+        assert main(["module-simple", "--in", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "d": 2, "span_dim": 2, "simple": False}
+        assert len(calls) == 1
 
     def test_non_simple_module_is_domain_error(self, tmp_path, capsys):
         import io

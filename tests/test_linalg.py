@@ -1,11 +1,14 @@
 """Exact matrix layer: arithmetic, reduction, span and hom-space solvers."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from qheisenberg.cyclotomic import CycNumber, zeta_power
 from qheisenberg.linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
@@ -431,6 +434,43 @@ def test_property_sparse_ops_match_dense(data, conductor, n, k, m, e):
     nonzero = {key: x for key, x in dense.items() if not x.is_zero()}
     assert (FieldMatrix.from_entries(n, k, dense, conductor)
             == FieldMatrix.from_entries(n, k, nonzero, conductor) == a)
+
+
+# --- row_reduce against sympy's rref over the same field --------------------
+
+@functools.lru_cache(maxsize=None)
+def sympy_field(conductor):
+    # sympy picks zeta_N itself as the generator, with minimal polynomial
+    # Phi_N, so a power-basis coordinate list is an element of this field
+    return sympy.QQ.algebraic_field(sympy.exp(2 * sympy.pi * sympy.I / conductor))
+
+
+def to_sympy(field, x):
+    return field.new([sympy.QQ(c, x.den) for c in reversed(x.num)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), conductor=st.sampled_from((1, 4, 6, 12)),
+       n=st.integers(1, 6), m=st.integers(1, 6))
+def test_property_row_reduce_matches_sympy(data, conductor, n, m):
+    mat = data.draw(matrices(conductor, n, m))
+    field = sympy_field(conductor)
+    want, pivots = DomainMatrix([[to_sympy(field, x) for x in row]
+                                 for row in mat.rows], (n, m), field).rref()
+    want = want.to_list()
+    rref, rank, null = row_reduce(mat)
+    assert rref.shape == (n, m)
+    assert [[to_sympy(field, x) for x in row] for row in rref.rows] == want
+    assert rank == len(pivots)
+    # the nullspace is one-hot on the free columns and solves the rref
+    expect = []
+    for f in (c for c in range(m) if c not in pivots):
+        vec = [field.zero] * m
+        vec[f] = field.one
+        for t, c in enumerate(pivots):
+            vec[c] = -want[t][f]
+        expect.append(vec)
+    assert [[to_sympy(field, x) for x in v] for v in null] == expect
 
 
 # --- module-file JSON against the dense formulas it replaced ---------------

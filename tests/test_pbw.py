@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qheisenberg.arith import derive_params, ord_formula
-from qheisenberg.cyclotomic import CycNumber
+from qheisenberg.cyclotomic import CycNumber, zeta_power
 from qheisenberg.pbw import (
     DEGREE_CAP,
     PbwElement,
@@ -279,6 +279,18 @@ def test_serialization():
     keys = [(t["i"], t["j"], t["k"]) for t in data["terms"]]
     assert keys == sorted(keys)
     assert PbwElement.from_json(data) == a
+
+
+def test_scalar_from_subfield_is_embedded():
+    # zeta_3 = zeta_6^2 and -1 = zeta_2 lie in Q(zeta_6), the field of PS23
+    x = generators(PS23)[0]
+    assert (PbwElement.scalar(PS23, zeta_power(3, 1))
+            == PbwElement.scalar(PS23, zeta_power(6, 2)))
+    assert x * zeta_power(3, 1) == x.scale(zeta_power(6, 2))
+    assert (x + zeta_power(2, 1)).coefficient(0, 0, 0) == -1
+    with pytest.raises(ValueError) as err:
+        PbwElement.scalar(PS23, zeta_power(4, 1))
+    assert str(err.value) == "scalar lies outside Q(zeta_6)"
 
 
 def test_scalar_coercion_and_power():

@@ -25,7 +25,7 @@ from qheisenberg.reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
                               classify, direct_sum, find_intertwiner,
                               intertwiner, is_simple, iso_test, theta_matrix,
                               verify_relations)
-from qheisenberg.reps import _decide_simple, _spin_finds_submodule
+from qheisenberg.reps import _spin_finds_submodule
 
 P23 = derive_params(2, 3, 1, 1)
 P44 = derive_params(4, 4, 1, 1)
@@ -417,7 +417,7 @@ class TestClassify:
                                                   message):
         # these direct sums are not simple; a simplicity decision patched
         # to say "simple" lets classify reach the stage that must reject them
-        monkeypatch.setattr("qheisenberg.reps._decide_simple", lambda rep: True)
+        monkeypatch.setattr("qheisenberg.reps.is_simple", lambda rep: True)
         with pytest.raises(ValueError) as err:
             classify(rep)
         assert str(err.value) == message
@@ -699,7 +699,7 @@ class TestCertificates:
                 assert not exact_simple(rep)
                 # the spin of e_0 stays inside the first summand
                 assert _spin_finds_submodule(gens(rep), rep.d)
-                assert not _decide_simple(rep)
+                assert not is_simple(rep)
 
     def test_decision_matches_exact_span_on_dense_conjugates(self):
         rng = random.Random(33)
@@ -720,7 +720,7 @@ class TestCertificates:
                 # (at d = 5 and 6 it ran past 15 s); conjugation keeps the
                 # span's dimension, so larger cases read it off rep
                 want = exact_simple(dense if rep.d <= 4 else rep)
-                assert _decide_simple(dense) == want, \
+                assert is_simple(dense) == want, \
                     (params.m, params.n, params.k1, params.k2, rep.d)
 
     def test_zero_hom_certificate_matches_exact(self):
