@@ -53,6 +53,14 @@ class AlgebraParams:
     p: CycNumber
     q: CycNumber
 
+    def power(self, a: int, b: int) -> CycNumber:
+        """p^a q^b for any integers a, b, read from the zeta table by exponent.
+
+        p = w^(s1 k1) and q = w^(s2 k2) for w = zeta_conductor^(conductor/l).
+        """
+        return zeta_power(self.conductor, self.conductor // self.l
+                          * (a * self.s1 * self.k1 + b * self.s2 * self.k2))
+
     def to_json(self) -> dict:
         data = {"m": self.m, "n": self.n, "k1": self.k1, "k2": self.k2}
         if self.conductor != self.l:

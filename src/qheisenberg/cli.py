@@ -35,7 +35,7 @@ from .arith import (AlgebraParams, InvalidParameters, derive_params, ord_pq,
                     pi_degree, pi_degree_snf, relation_matrix, scan_orders,
                     smith_normal_form)
 from .cyclotomic import ConductorMismatch, CycNumber, zeta_power
-from .linalg import FieldMatrix, algebra_span_dim
+from .linalg import algebra_span_dim
 from .pbw import PbwElement, center_generators, generators, theta
 from .reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z, KIND_V1,
                    KIND_V2, KIND_V3, MatrixRep, ModuleDescriptor,
@@ -360,8 +360,7 @@ def _cmd_module_simple(args):
     gens = [rep.Mx, rep.My, rep.Mz]
     span = rep.d * rep.d
     if modular.span_rank(gens) != span:
-        ident = FieldMatrix.identity(rep.d, rep.Mx.conductor)
-        span = algebra_span_dim(gens + [ident])
+        span = algebra_span_dim(gens)
     payload = {"d": rep.d, "span_dim": span, "simple": span == rep.d * rep.d}
     lines = [f"d: {rep.d}", f"span_dim: {span}",
              f"simple: {_fmt(payload['simple'])}"]

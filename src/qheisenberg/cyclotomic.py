@@ -244,12 +244,6 @@ class CycNumber:
         return tuple(Fraction(x, den) for x in self.num)
 
     @classmethod
-    def from_poly(cls, conductor: int, coeffs) -> CycNumber:
-        """Build from polynomial coordinates of any length, reducing mod Phi_N."""
-        num, den = _over_common_den(coeffs)
-        return _normalised(conductor, _reduce(conductor, num), den)
-
-    @classmethod
     def from_rational(cls, conductor: int, value) -> CycNumber:
         if type(value) is not int and type(value) is not Fraction:
             value = Fraction(value)
@@ -521,14 +515,20 @@ def order_of_unit(a: CycNumber) -> int | None:
     return None
 
 
+def _unit_exponents(conductor: int) -> list[tuple[int, int]]:
+    # (sign, j) once for each root of unity sign * zeta_N^j in Q(zeta_N):
+    # for even N, -zeta^j = zeta^(j + N/2), so j < N/2 lists each once
+    half = conductor if conductor % 2 else conductor // 2
+    return [(sign, j) for j in range(half) for sign in (1, -1)]
+
+
 def roots_of_unity(conductor: int) -> list[CycNumber]:
-    """All roots of unity in Q(zeta_N): the group generated by -1 and zeta_N."""
-    seen = {}
-    for j in range(conductor):
-        for sign in (1, -1):
-            w = sign * zeta_power(conductor, j)
-            seen.setdefault(w, w)
-    return list(seen.values())
+    """All roots of unity in Q(zeta_N): the group generated by -1 and zeta_N.
+
+    Listed as zeta^0, -zeta^0, zeta^1, -zeta^1, ...
+    """
+    return [sign * zeta_power(conductor, j)
+            for sign, j in _unit_exponents(conductor)]
 
 
 def _integer_nth_root(value: int, n: int) -> int | None:
@@ -557,12 +557,17 @@ def nth_root_in_field(a: CycNumber, n: int) -> CycNumber | None:
     """
     if a.is_zero():
         return CycNumber.zero(a.conductor)
-    for w in roots_of_unity(a.conductor):
-        t = a * (w ** n).inverse()
+    cond = a.conductor
+    for sign, j in _unit_exponents(cond):
+        # w = sign * zeta^j has w^-n = sign^n * zeta^(-jn)
+        t = a * zeta_power(cond, -j * n)
+        if sign < 0 and n % 2:
+            t = -t
         if t.is_rational() and t.num[0] > 0:
             num = _integer_nth_root(t.num[0], n)
             den = _integer_nth_root(t.den, n)
             if num is not None and den is not None:
                 # w, a root of unity, has integer coordinates over den 1
-                return _normalised(a.conductor, [num * x for x in w.num], den)
+                w = zeta_power(cond, j)
+                return _normalised(cond, [sign * num * x for x in w.num], den)
     return None

@@ -9,10 +9,11 @@ rational-cyclotomic combination of such monomials, stored as a map from
 exponent triples (i, j, k) to nonzero coefficients; equality is literal
 map equality, so normal forms are canonical.
 
-Products are computed two ways: a closed-form fast path built on the
-reordering identity  y x^j = q^j x^j y + [j]_{p,q} x^(j-1) z  (the
-default), and a literal rewriting engine driven by the three relations
-(kept for cross-checking).
+Products are computed two ways: a fast path built on the closed form of
+y^k x^j (see `_yk_xj`; the default), and a literal rewriting engine
+driven by the three relations (kept for cross-checking).  p and q are
+roots of unity, so the fast path reads every power of p and q from the
+zeta table by its exponent (`AlgebraParams.power`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .arith import AlgebraParams
+from .arith import AlgebraParams, ord_formula
 from .cyclotomic import CycNumber
 
 DEGREE_CAP = 10 ** 6
@@ -28,28 +29,19 @@ DEGREE_CAP = 10 ** 6
 _Triple = tuple[int, int, int]
 
 
-@functools.lru_cache(maxsize=None)
-def _p_power(params: AlgebraParams, e: int) -> CycNumber:
-    return params.p ** e
-
-
-@functools.lru_cache(maxsize=None)
-def _q_power(params: AlgebraParams, e: int) -> CycNumber:
-    return params.q ** e
-
-
-@functools.lru_cache(maxsize=None)
 def pq_number(params: AlgebraParams, k: int) -> CycNumber:
     """The twisted integer [k]_{p,q} = sum of q^i p^-(k-1-i) for 0 <= i < k.
 
     Equals (q^k - p^-k)/(q - p^-1); vanishes exactly when both ord(p) and
-    ord(q) divide k, equivalently when ord(pq) divides k.
+    ord(q) divide k, equivalently when ord(pq) divides k.  It has period
+    l: [a+b] = q^a [b] + p^-b [a], p^l = 1 and [l] = 0 give [k+l] = [k].
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    k %= params.l
     acc = CycNumber.zero(params.conductor)
     for i in range(k):
-        acc = acc + _q_power(params, i) * _p_power(params, -(k - 1 - i))
+        acc = acc + params.power(-(k - 1 - i), i)
     return acc
 
 
@@ -243,24 +235,34 @@ def generators(params: AlgebraParams) -> tuple[PbwElement, PbwElement, PbwElemen
 def _yk_xj(params: AlgebraParams, k: int, j: int):
     """Normal form of y^k x^j as a tuple of ((i, j, k), coeff) items.
 
-    Recursion peels one y:  y^k x^j = q^j (y^(k-1) x^j) y
-                                      + [j] p^(j-k) z (y^(k-1) x^(j-1)).
+    Closed form, with u = (pq)^-1 and [i] = pq_number(params, i):
+
+        y^k x^j = sum over t of  q^(j(k-t)) p^(t(j-t)) B(k, t) [j][j-1]...[j-t+1]
+                                 z^t x^(j-t) y^(k-t),
+
+    where B(k, t) is the Gaussian binomial in u, from the u-Pascal rule
+    B(k, t) = B(k-1, t-1) + u^t B(k-1, t) (Kassel, *Quantum Groups*, GTM
+    155, section IV.2).  u has order o = ord(pq), so the product of t
+    consecutive [i] vanishes once t >= o, and by the q-Lucas theorem
+    B(k, t) = B(k mod o, t) for t < o, which is zero for t > k mod o.
+    So t runs up to min(k mod o, j), and the Pascal table has k mod o rows.
     """
-    if k == 0:
-        return (((0, j, 0), CycNumber.one(params.conductor)),)
-    if j == 0:
-        return (((0, 0, k), CycNumber.one(params.conductor)),)
-    acc: dict[_Triple, CycNumber] = {}
-    qj = _q_power(params, j)
-    for (a, b, c), cf in _yk_xj(params, k - 1, j):
-        key = (a, b, c + 1)
-        acc[key] = acc.get(key, CycNumber.zero(params.conductor)) + qj * cf
-    factor = pq_number(params, j) * _p_power(params, j - k)
-    if not factor.is_zero():
-        for (a, b, c), cf in _yk_xj(params, k - 1, j - 1):
-            key = (a + 1, b, c)
-            acc[key] = acc.get(key, CycNumber.zero(params.conductor)) + factor * cf
-    return tuple(sorted((key, cf) for key, cf in acc.items() if not cf.is_zero()))
+    cond = params.conductor
+    rows = k % ord_formula(params.m, params.n, params.k1, params.k2)
+    top = min(rows, j)
+    binom = [CycNumber.one(cond)] + [CycNumber.zero(cond)] * top
+    for row in range(1, rows + 1):
+        for t in range(min(row, top), 0, -1):
+            binom[t] = binom[t - 1] + params.power(-t, -t) * binom[t]
+    out = []
+    falling = CycNumber.one(cond)
+    for t in range(top + 1):
+        if t:
+            falling = falling * pq_number(params, j - t + 1)
+        cf = params.power(t * (j - t), j * (k - t)) * binom[t] * falling
+        if not cf.is_zero():
+            out.append(((t, j - t, k - t), cf))
+    return tuple(out)
 
 
 def product(a: PbwElement, b: PbwElement) -> PbwElement:
@@ -271,10 +273,10 @@ def product(a: PbwElement, b: PbwElement) -> PbwElement:
     out: dict[_Triple, CycNumber] = {}
     for (i1, j1, k1), c1 in a.terms.items():
         for (i2, j2, k2), c2 in b.terms.items():
-            base = c1 * c2 * _p_power(params, (j1 - k1) * i2)
+            base = c1 * c2 * params.power((j1 - k1) * i2, 0)
             for (ai, bj, ck), cf in _yk_xj(params, k1, j2):
                 key = (i1 + i2 + ai, j1 + bj, ck + k2)
-                out[key] = out.get(key, zero) + base * cf * _p_power(params, j1 * ai)
+                out[key] = out.get(key, zero) + base * cf * params.power(j1 * ai, 0)
     return PbwElement(params, out)
 
 
@@ -296,7 +298,7 @@ def product_via_rewriting(a: PbwElement, b: PbwElement) -> PbwElement:
     a._check(b)
     params = a.params
     p, q = params.p, params.q
-    p_inv = _p_power(params, -1)
+    p_inv = p.inverse()
     zero = CycNumber.zero(params.conductor)
     out: dict[_Triple, CycNumber] = {}
     for (i1, j1, k1), c1 in a.terms.items():
@@ -328,7 +330,7 @@ def product_via_rewriting(a: PbwElement, b: PbwElement) -> PbwElement:
 def theta(params: AlgebraParams) -> PbwElement:
     """The twist element yx - p^-1 xy, in normal form (q - p^-1) xy + z."""
     return PbwElement(params, {
-        (0, 1, 1): params.q - _p_power(params, -1),
+        (0, 1, 1): params.q - params.power(-1, 0),
         (1, 0, 0): CycNumber.one(params.conductor)})
 
 

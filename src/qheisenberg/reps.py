@@ -124,13 +124,6 @@ class RelationCheck:
     residuals: dict
 
 
-def _powers(base: CycNumber, count: int) -> list[CycNumber]:
-    out = [CycNumber.one(base.conductor)]
-    for _ in range(count - 1):
-        out.append(out[-1] * base)
-    return out
-
-
 def build_v1(params: AlgebraParams, mu, lam, gamma) -> MatrixRep:
     """x-invertible weight module of dimension l.
 
@@ -143,19 +136,16 @@ def build_v1(params: AlgebraParams, mu, lam, gamma) -> MatrixRep:
     mu = _coerce_scalar(params, mu, "mu")
     lam = _coerce_scalar(params, lam, "lam")
     gamma = _coerce_scalar(params, gamma, "gamma")
-    p, q = params.p, params.q
-    pq = p * q
-    qinv_pow = _powers(q.inverse(), l)
-    p_pow = _powers(p, l)
-    pq_pow = _powers(pq, l + 1)
+    pq = params.power(1, 1)
     mu_inv = mu.inverse()
+    # pq - 1 is not a root of unity, so this inverse is field arithmetic
     denom_inv = (pq - CycNumber.one(cond)).inverse()
-    mz = FieldMatrix.diagonal([p_pow[k] * lam for k in range(l)], cond)
+    mz = FieldMatrix.diagonal([params.power(k, 0) * lam for k in range(l)], cond)
     mx = FieldMatrix.from_entries(l, l, {(k, (k + 1) % l): mu
                                          for k in range(l)}, cond)
     my = FieldMatrix.from_entries(l, l, {
-        (k, (k - 1) % l): (mu_inv * qinv_pow[k]
-                           * (pq * gamma - pq_pow[k] * lam) * denom_inv)
+        (k, (k - 1) % l): (mu_inv * params.power(0, -k)
+                           * (pq * gamma - params.power(k, k) * lam) * denom_inv)
         for k in range(l)}, cond)
     return MatrixRep(params, l, mx, my, mz)
 
@@ -170,9 +160,8 @@ def build_v2(params: AlgebraParams, mu, lam) -> MatrixRep:
     cond = params.conductor
     mu = _coerce_scalar(params, mu, "mu")
     lam = _coerce_scalar(params, lam, "lam")
-    pinv_pow = _powers(params.p.inverse(), l)
     mu_inv = mu.inverse()
-    mz = FieldMatrix.diagonal([pinv_pow[k] * lam for k in range(l)], cond)
+    mz = FieldMatrix.diagonal([params.power(-k, 0) * lam for k in range(l)], cond)
     mx = FieldMatrix.from_entries(l, l, {
         (k, k - 1): mu_inv * lam * pq_number(params, k)
         for k in range(1, l)}, cond)
@@ -190,8 +179,7 @@ def build_v3(params: AlgebraParams, lam) -> MatrixRep:
     cond = params.conductor
     lam = _coerce_scalar(params, lam, "lam")
     d = ord_formula(params.m, params.n, params.k1, params.k2)
-    pinv_pow = _powers(params.p.inverse(), d)
-    mz = FieldMatrix.diagonal([pinv_pow[k] * lam for k in range(d)], cond)
+    mz = FieldMatrix.diagonal([params.power(-k, 0) * lam for k in range(d)], cond)
     mx = FieldMatrix.from_entries(d, d, {(k, k - 1): lam * pq_number(params, k)
                                          for k in range(1, d)}, cond)
     my = FieldMatrix.from_entries(d, d, {(k, k + 1): 1
@@ -211,19 +199,17 @@ def build_qplane(params: AlgebraParams, mode: str, a, b) -> MatrixRep:
     b = _coerce_scalar(params, b, "b")
     if mode == Z_TORSION:
         d = params.n
-        q_pow = _powers(params.q, d)
-        mx = FieldMatrix.diagonal([a * q_pow[k] for k in range(d)], cond)
+        mx = FieldMatrix.diagonal([a * params.power(0, k) for k in range(d)], cond)
         my = FieldMatrix.from_entries(d, d, {(k, (k + 1) % d): b
                                              for k in range(d)}, cond)
         return MatrixRep(params, d, mx, my, FieldMatrix.zeros(d, d, cond))
     if mode == THETA_TORSION:
         d = params.m
-        p_pow = _powers(params.p, d)
         mx = FieldMatrix.from_entries(d, d, {(k, (k + 1) % d): a
                                              for k in range(d)}, cond)
-        my = FieldMatrix.diagonal([b * p_pow[k] for k in range(d)], cond)
+        my = FieldMatrix.diagonal([b * params.power(k, 0) for k in range(d)], cond)
         # theta = (q - p^{-1})xy + z, so killing theta forces the z matrix
-        mz = (mx * my).scale(params.p.inverse() - params.q)
+        mz = (mx * my).scale(params.power(-1, 0) - params.q)
         return MatrixRep(params, d, mx, my, mz)
     raise ValueError(f"unknown torsion mode {mode!r}")
 
@@ -279,12 +265,12 @@ def verify_relations(rep: MatrixRep) -> RelationCheck:
     Keys: "zx" for Mz Mx - p^{-1} Mx Mz, "zy" for Mz My - p My Mz,
     "yx" for My Mx - q Mx My - Mz.  ok is True iff all three vanish.
     """
-    p, q = rep.params.p, rep.params.q
+    params = rep.params
     mx, my, mz = rep.Mx, rep.My, rep.Mz
     residuals = {
-        "zx": mz * mx - (mx * mz).scale(p.inverse()),
-        "zy": mz * my - (my * mz).scale(p),
-        "yx": my * mx - (mx * my).scale(q) - mz,
+        "zx": mz * mx - (mx * mz).scale(params.power(-1, 0)),
+        "zy": mz * my - (my * mz).scale(params.p),
+        "yx": my * mx - (mx * my).scale(params.q) - mz,
     }
     ok = all(r.is_zero() for r in residuals.values())
     return RelationCheck(ok=ok, residuals=residuals)
@@ -292,8 +278,7 @@ def verify_relations(rep: MatrixRep) -> RelationCheck:
 
 def theta_matrix(rep: MatrixRep) -> FieldMatrix:
     """Matrix of theta = yx - p^{-1}xy in the given module."""
-    p = rep.params.p
-    return rep.My * rep.Mx - (rep.Mx * rep.My).scale(p.inverse())
+    return rep.My * rep.Mx - (rep.Mx * rep.My).scale(rep.params.power(-1, 0))
 
 
 def is_simple(rep: MatrixRep) -> bool:
@@ -315,8 +300,7 @@ def is_simple(rep: MatrixRep) -> bool:
         return True
     if _spin_finds_submodule(gens, d):
         return False
-    ident = FieldMatrix.identity(d, rep.params.conductor)
-    return algebra_span_dim(gens + [ident]) == d * d
+    return algebra_span_dim(gens) == d * d
 
 
 def _spin_finds_submodule(gens: list[FieldMatrix], d: int) -> bool:
@@ -531,12 +515,11 @@ def iso_test(kind: str, desc_a: ModuleDescriptor, desc_b: ModuleDescriptor,
         if desc_a.mu ** l != desc_b.mu ** l:
             return False, None
         k = _orbit_shift(desc_a.lam, desc_b.lam, p, l)
-        qinv = q.inverse()
         while k is not None:
-            if desc_b.gamma == qinv ** k * desc_a.gamma:
+            if desc_b.gamma == params.power(0, -k) * desc_a.gamma:
                 return True, k
-            nxt = _orbit_shift(desc_a.lam * p ** (k + 1), desc_b.lam, p,
-                               l - k - 1)
+            nxt = _orbit_shift(desc_a.lam * params.power(k + 1, 0), desc_b.lam,
+                               p, l - k - 1)
             k = None if nxt is None else k + 1 + nxt
         return False, None
     if kind == KIND_V2:

@@ -199,6 +199,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: exponent beyond the degree cap 1000000\n"
 
+    @pytest.mark.parametrize("expr,want", [
+        ("y^3000*x", "xy^3000"),
+        ("y^600*x^600", "x^600y^600"),
+    ])
+    def test_long_y_run_reorders_past_x(self, expr, want, capsys):
+        # y^k x^j has a closed form, so the length of the y run sets no
+        # recursion depth; at (2, 3), ord(pq) = 6 divides 600 and 3000
+        assert main(["normal-form", "--m", "2", "--n", "3", expr,
+                     "--format", "table"]) == 0
+        assert capsys.readouterr().out == f"normal_form: {want}\n"
+
     @pytest.mark.parametrize("argv", [
         ["normal-form", "--m", "2", "--n", "3", "2^15000"],
         ["module-build", "--m", "2", "--n", "3", "--kind", "V3",
@@ -360,6 +371,28 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out) == {
             "d": 2, "span_dim": 2, "simple": False}
         assert len(calls) == 1
+
+    def test_module_simple_spans_the_three_generators(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # the exact span is seeded with the identity, so only Mx, My and
+        # Mz are passed to it
+        from qheisenberg import linalg
+        from qheisenberg.reps import build_v3, direct_sum
+
+        rep = build_v3(P23, 1)
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps(direct_sum(rep, rep).to_json()))
+        calls = []
+
+        def counted(mats):
+            calls.append(len(mats))
+            return linalg.algebra_span_dim(mats)
+
+        monkeypatch.setattr(cli, "algebra_span_dim", counted)
+        assert main(["module-simple", "--in", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "d": 12, "span_dim": 36, "simple": False}
+        assert calls == [3]
 
     def test_non_simple_module_is_domain_error(self, tmp_path, capsys):
         import io

@@ -22,7 +22,7 @@ from qheisenberg.cyclotomic import (
     roots_of_unity,
     zeta_power,
 )
-from qheisenberg.cyclotomic import _parse_coord
+from qheisenberg.cyclotomic import _integer_nth_root, _parse_coord
 
 
 def test_cyclotomic_polynomial_small_values():
@@ -169,6 +169,56 @@ def test_nth_root_in_field():
     # sqrt(2) exists in Q(zeta_8) but lies outside Q* x (roots of unity)
     assert nth_root_in_field(CycNumber.from_rational(8, 2), 2) is None
     assert nth_root_in_field(CycNumber.zero(6), 5) == CycNumber.zero(6)
+
+
+# --- roots of unity by exponent, against the field-arithmetic construction --
+
+def _roots_of_unity_by_field(conductor):
+    # the group generated by -1 and zeta_N, deduplicated in scan order
+    seen = {}
+    for j in range(conductor):
+        for sign in (1, -1):
+            w = sign * zeta_power(conductor, j)
+            seen.setdefault(w, w)
+    return list(seen.values())
+
+
+def _nth_root_by_field(a, n):
+    # the first w in that order with a w^-n a positive rational n-th power,
+    # with w^-n computed by powering and inverting in the field
+    if a.is_zero():
+        return CycNumber.zero(a.conductor)
+    for w in _roots_of_unity_by_field(a.conductor):
+        t = a * (w ** n).inverse()
+        if t.is_rational() and t.num[0] > 0:
+            num = _integer_nth_root(t.num[0], n)
+            den = _integer_nth_root(t.den, n)
+            if num is not None and den is not None:
+                return CycNumber(a.conductor,
+                                 [Fraction(num * x, den) for x in w.num])
+    return None
+
+
+@pytest.mark.parametrize("conductor", range(1, 41))
+def test_roots_of_unity_match_field_construction(conductor):
+    assert roots_of_unity(conductor) == _roots_of_unity_by_field(conductor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), conductor=st.integers(1, 40), n=st.integers(1, 6))
+def test_property_nth_root_matches_field_construction(data, conductor, n):
+    # roots of c * (root of unity) for a rational c, which are found when
+    # c is a positive rational n-th power, plus arbitrary elements
+    if data.draw(st.booleans()):
+        c = data.draw(st.fractions(min_value=-9, max_value=9,
+                                   max_denominator=9).filter(bool))
+        if data.draw(st.booleans()):
+            c = abs(c) ** n
+        sign = data.draw(st.sampled_from((1, -1)))
+        a = c * sign * zeta_power(conductor, data.draw(st.integers(0, conductor)))
+    else:
+        a = data.draw(_element(conductor))
+    assert nth_root_in_field(a, n) == _nth_root_by_field(a, n)
 
 
 def test_rational_predicates():

@@ -1,12 +1,14 @@
 """Normal-form engine: products, rewriting, twisted integers, theta, center."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qheisenberg.arith import derive_params, ord_formula
+from qheisenberg.arith import derive_params, ord_formula, valid_pairs
 from qheisenberg.cyclotomic import CycNumber, zeta_power
 from qheisenberg.pbw import (
     DEGREE_CAP,
@@ -21,6 +23,7 @@ from qheisenberg.pbw import (
     product_via_rewriting,
     theta,
 )
+from qheisenberg.pbw import _yk_xj
 
 PS23 = derive_params(2, 3, 1, 1)
 PS44 = derive_params(4, 4, 1, 1)
@@ -107,7 +110,7 @@ def test_pq_number():
     for ps in (PS23, PS44, PS24, PS33):
         denom = ps.q - ps.p.inverse()
         o = ord_formula(ps.m, ps.n, ps.k1, ps.k2)
-        for k in range(13):
+        for k in [*range(13), 10 ** 6 + 5]:
             quotient = (ps.q ** k - ps.p ** -k) * denom.inverse()
             assert pq_number(ps, k) == quotient
             assert pq_number(ps, k).is_zero() == (k % o == 0)
@@ -299,3 +302,77 @@ def test_scalar_coercion_and_power():
     assert (theta(PS23) ** 0) == 1
     b = theta(PS23)
     assert b ** 3 == product(product(b, b), b)
+
+
+# --- property tests: the closed form against the rewriting oracle ---------
+
+# every order pair with l <= 8 that has an admissible index pair
+ORDER_PAIRS_L8 = [(m, n) for m in range(1, 9) for n in range(1, 9)
+                  if math.lcm(m, n) <= 8 and valid_pairs(m, n)]
+
+
+@st.composite
+def _params(draw, m=None, n=None, scale=None):
+    # a random admissible index pair at conductor l or 2l
+    if m is None:
+        m, n = draw(st.sampled_from(ORDER_PAIRS_L8))
+    if scale is None:
+        scale = draw(st.sampled_from((1, 2)))
+    k1, k2 = draw(st.sampled_from(valid_pairs(m, n)))
+    return derive_params(m, n, k1, k2, conductor=scale * math.lcm(m, n))
+
+
+@st.composite
+def _element(draw, ps, max_exp=3, max_terms=3):
+    # up to max_terms monomials with small exponents and coefficients
+    # c * zeta^e, c a small nonzero integer
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        key = tuple(draw(st.integers(0, max_exp)) for _ in range(3))
+        c = draw(st.integers(-3, 3).filter(bool))
+        e = draw(st.integers(0, ps.conductor - 1))
+        terms[key] = c * zeta_power(ps.conductor, e)
+    return PbwElement(ps, terms)
+
+
+@pytest.mark.parametrize("scale", (1, 2))
+@pytest.mark.parametrize("m,n", ORDER_PAIRS_L8)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_property_product_matches_rewriting_and_associates(m, n, scale, data):
+    ps = data.draw(_params(m, n, scale))
+    a, b, c = (data.draw(_element(ps)) for _ in range(3))
+    assert product(a, b) == product_via_rewriting(a, b)
+    assert product(product(a, b), c) == product(a, product(b, c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), k=st.integers(0, 5), j=st.integers(0, 5))
+def test_property_yk_xj_matches_rewriting(data, k, j):
+    ps = data.draw(_params())
+    y_k = PbwElement.monomial(ps, 0, 0, k)
+    x_j = PbwElement.monomial(ps, 0, j, 0)
+    assert (PbwElement(ps, dict(_yk_xj(ps, k, j)))
+            == product_via_rewriting(y_k, x_j))
+
+
+def test_yk_xj_long_y_run_matches_rewriting():
+    # k = 200 is far past ord(pq) = 6, so the q-Lucas reduction is used
+    y_k = PbwElement.monomial(PS23, 0, 0, 200)
+    x = PbwElement.monomial(PS23, 0, 1, 0)
+    assert product(y_k, x) == product_via_rewriting(y_k, x)
+
+
+def test_yk_xj_satisfies_the_one_y_recursion():
+    # y^k x^j = q^j (y^(k-1) x^j) y + [j] p^(j-k) z (y^(k-1) x^(j-1)),
+    # the recursion the closed form replaces
+    for m, n in ORDER_PAIRS_L8:
+        ps = derive_params(m, n)
+        x, y, z = generators(ps)
+        for k in range(1, 11):
+            for j in range(1, 11):
+                lhs = product(y ** k, x ** j)
+                rhs = (product(product(y ** (k - 1), x ** j), y).scale(ps.q ** j)
+                       + product(z, product(y ** (k - 1), x ** (j - 1))).scale(
+                           pq_number(ps, j) * ps.p ** (j - k)))
+                assert lhs == rhs, (m, n, k, j)

@@ -764,7 +764,7 @@ class TestCertificates:
         monkeypatch.setattr(modular, "rank", lambda mat: 0)
         v1 = build_v1(P23, zeta_power(6, 1), 2, 3)
         other = build_v1(P23, zeta_power(6, 1), 3, 3)
-        assert is_simple(v1) and calls == [4]
+        assert is_simple(v1) and calls == [3]
         assert not is_simple(direct_sum(v1, v1))
         assert is_invertible(v1.Mx) and not is_invertible(v1.Mx - v1.Mx)
         assert find_intertwiner(v1, other) is None
