@@ -40,7 +40,7 @@ from .pbw import PbwElement, center_generators, generators, theta
 from .reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z, KIND_V1,
                    KIND_V2, KIND_V3, MatrixRep, ModuleDescriptor,
                    build_from_descriptor, classify, iso_test,
-                   verify_relations)
+                   verify_relations, weight_certificate)
 
 
 class UsageError(Exception):
@@ -355,11 +355,12 @@ def _cmd_module_simple(args):
     rep = _load_rep(args.infile)
     if not verify_relations(rep).ok:
         raise ValueError("module file does not satisfy the defining relations")
-    # a span of rank d^2 mod P is d^2 exactly; otherwise the exact span
-    # is computed once and gives both span_dim and the answer
+    # the weight certificate and a span of rank d^2 mod P each prove the
+    # span is d^2; otherwise the exact span is computed once and gives
+    # both span_dim and the answer
     gens = [rep.Mx, rep.My, rep.Mz]
     span = rep.d * rep.d
-    if modular.span_rank(gens) != span:
+    if not weight_certificate(rep) and modular.span_rank(gens) != span:
         span = algebra_span_dim(gens)
     payload = {"d": rep.d, "span_dim": span, "simple": span == rep.d * rep.d}
     lines = [f"d: {rep.d}", f"span_dim: {span}",

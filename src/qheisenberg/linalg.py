@@ -225,6 +225,11 @@ class FieldMatrix:
         return all(row == ({} if c is None else {i: c})
                    for i, row in enumerate(self._rows))
 
+    def is_diagonal(self) -> bool:
+        n, m = self.shape
+        return n == m and all(row.keys() <= {i}
+                              for i, row in enumerate(self._rows))
+
     def scalar_value(self) -> CycNumber:
         if not self.is_scalar():
             raise ValueError("matrix is not scalar")
@@ -464,22 +469,48 @@ def algebra_span_dim(mats: list[FieldMatrix]) -> int:
     return ech.rank
 
 
+def joint_weights(mats: list[FieldMatrix]) -> list[tuple]:
+    """The joint weight of each basis vector under the diagonal matrices.
+
+    Entry i is the tuple of the i-th diagonal entries of those of the
+    d x d matrices that are diagonal, in list order; it is () for every i
+    when none is.  Weights are compared by exact equality.
+    """
+    d, conductor = _generator_size(mats)
+    zero = CycNumber.zero(conductor)
+    diagonal = [g._rows for g in mats if g.is_diagonal()]
+    return [tuple(rows[i].get(i, zero) for rows in diagonal) for i in range(d)]
+
+
 def matrix_hom_space(mats_a: list[FieldMatrix],
                      mats_b: list[FieldMatrix]) -> list[FieldMatrix]:
     """Basis of {P : A_g P = P B_g for all g}, exact.
 
     A_g are d_a x d_a, B_g are d_b x d_b; P runs over d_a x d_b matrices.
     Equation (g, i, j) says that entry (i, j) of A_g P - P B_g vanishes.
-    `modular.hom_pivots` picks the equations that are independent mod a
-    prime.  If all d_a * d_b unknowns get a pivot there, only P = 0
-    solves the system, and [] is returned without exact elimination.
-    Otherwise only the picked equations, built one at a time, go into the
-    exact echelon.  They are independent exactly too, but with an unlucky
-    prime they span less than the whole system, so every kernel matrix is
-    checked exactly against A_g P = P B_g.  If a check fails, or no
-    reduction mod the prime exists, every equation is inserted.  The
-    kernel basis depends only on the row space of the inserted equations,
-    so the answer does not depend on the prime.
+
+    Weight support.  For each g with A_g and B_g both diagonal, equation
+    (g, r, c) reads (a_r - b_c) P[r][c] = 0.  So P vanishes off the
+    support, the pairs (r, c) where e_r and e_c have equal joint weights
+    (`joint_weights`) under those pairs.  When the support leaves out
+    some unknown, only the equations that touch the support, restricted
+    to it, are solved, exactly and without a modular step; an empty
+    support gives [].  The kernel of the whole system is that of the
+    restricted one padded with zeros, so its basis, taken over the
+    support in the same (r, c) order, is the same list as the basis over
+    all d_a * d_b unknowns.
+
+    Otherwise (no such g, or weights that rule out no unknown, as for a
+    dense basis with z = 0) `modular.hom_pivots` picks the equations that
+    are independent mod a prime.  If all d_a * d_b unknowns get a pivot
+    there, only P = 0 solves the system, and [] is returned without
+    exact elimination.  Otherwise only the picked equations, built one at
+    a time, go into the exact echelon.  They are independent exactly too,
+    but with an unlucky prime they span less than the whole system, so
+    every kernel matrix is checked exactly against A_g P = P B_g.  If a
+    check fails, or no reduction mod the prime exists, every equation is
+    inserted.  The kernel basis depends only on the row space of the
+    inserted equations, so the answer does not depend on the prime.
     """
     if len(mats_a) != len(mats_b):
         raise ValueError("generator lists differ in length")
@@ -487,9 +518,6 @@ def matrix_hom_space(mats_a: list[FieldMatrix],
     db, conductor_b = _generator_size(mats_b)
     if conductor_b != conductor:
         raise ValueError("generator conductor mismatch")
-    pivots = modular.hom_pivots(mats_a, mats_b)
-    if pivots is not None and len(pivots) == da * db:
-        return []
     b_cols = [b.transpose()._rows for b in mats_b]
 
     def equation(g: int, i: int, j: int) -> dict:
@@ -501,18 +529,50 @@ def matrix_hom_space(mats_a: list[FieldMatrix],
         return eq
 
     ech = SparseEchelon(conductor)
-    unknowns = [(r, c) for r in range(da) for c in range(db)]
 
-    def kernel() -> list[FieldMatrix]:
+    def kernel(over) -> list[FieldMatrix]:
         return [FieldMatrix.from_entries(da, db, sol, conductor)
-                for sol in ech.kernel_basis(unknowns)]
+                for sol in ech.kernel_basis(over)]
 
+    unknowns = [(r, c) for r in range(da) for c in range(db)]
+    support = unknowns
+    diagonal = [g for g, (a, b) in enumerate(zip(mats_a, mats_b))
+                if a.is_diagonal() and b.is_diagonal()]
+    if diagonal:
+        weights_b: dict = {}
+        for c, w in enumerate(joint_weights([mats_b[g] for g in diagonal])):
+            weights_b.setdefault(w, []).append(c)
+        support = [(r, c) for r, w in enumerate(
+                       joint_weights([mats_a[g] for g in diagonal]))
+                   for c in weights_b.get(w, ())]
+    if len(support) < da * db:
+        if not support:
+            return []
+        # P[r][c] enters equation (g, i, c) through A_g[i][r] and
+        # equation (g, r, j) through B_g[c][j]
+        touched = set()
+        for g in range(len(mats_a)):
+            if g in diagonal:
+                continue
+            a_cols = mats_a[g].transpose()._rows
+            b_rows = mats_b[g]._rows
+            for r, c in support:
+                touched.update((g, i, c) for i in a_cols[r])
+                touched.update((g, r, j) for j in b_rows[c])
+        inside = set(support)
+        for pos in sorted(touched):
+            ech.insert({k: v for k, v in equation(*pos).items() if k in inside})
+        return kernel(support)
+
+    pivots = modular.hom_pivots(mats_a, mats_b)
+    if pivots is not None and len(pivots) == da * db:
+        return []
     if pivots is not None:
         for pos in pivots:
             ech.insert(equation(*pos))
-        basis = kernel()
+        basis = kernel(unknowns)
         if all(a * x == x * b for x in basis for a, b in zip(mats_a, mats_b)):
             return basis
     for pos in product(range(len(mats_a)), range(da), range(db)):
         ech.insert(equation(*pos))
-    return kernel()
+    return kernel(unknowns)

@@ -9,16 +9,24 @@ only fall under that map: every minor that vanishes exactly vanishes mod
 P.  So a full rank mod P proves a full exact rank, while a short rank
 mod P proves nothing.
 
-`rank` and `span_rank` return a rank mod P; `hom_pivots` returns the
-positions of the hom-space equations that are independent mod P, which
-are independent exactly too.  Each returns None when some entry has a
-denominator divisible by P (or the matrices do not fit together) and so
-no reduction exists.  Callers read an answer from modular data alone
-only when the rank is full.  Otherwise they compute the exact answer:
-`linalg.matrix_hom_space` solves exactly from the admitted equations,
-verifies every kernel matrix exactly, and inserts every equation when a
-check fails.  The prime and w are found once per conductor, on first
-use.
+`rank`, `span_rank` and `spin_dim` return a rank mod P; `hom_pivots`
+returns the positions of the hom-space equations that are independent
+mod P, which are independent exactly too.  Each returns None when some
+entry has a denominator divisible by P (or the matrices do not fit
+together) and so no reduction exists.  Callers read an answer from
+modular data alone only when the rank is full.  Otherwise they compute
+the exact answer: `linalg.matrix_hom_space` solves exactly from the
+admitted equations, verifies every kernel matrix exactly, and inserts
+every equation when a check fails.  The prime and w are found once per
+conductor, on first use.
+
+`spin_dim` serves Norton's irreducibility test (`reps.weight_certificate`).
+If some theta in the algebra has ker theta = ker theta^T = K e_i, one
+dimension, and e_i spins to the whole space under the generators and
+under their transposes, the module is absolutely simple.  Both spins are
+read mod P, and only a full one is used: it proves a full exact spin.
+The one-dimensional kernel is read exactly, from a weight of e_i that
+no other basis vector shares.
 """
 
 from __future__ import annotations
@@ -202,6 +210,37 @@ def span_rank(mats) -> int | None:
                 if len(ech.pivots) == full:
                     return full
                 words.append(prod)
+    return len(ech.pivots)
+
+
+def spin_dim(mats, i: int) -> int | None:
+    """Dimension mod P of the spin of e_i under d x d matrices.
+
+    The spin is the span of the row vector e_i times every word in the
+    matrices, the smallest subspace containing e_i that each of them
+    maps into itself.  Images are taken breadth-first, and only an
+    admitted image is multiplied on.  The rank of any set of images can
+    only fall under reduction, so a spin of dimension d mod P proves that
+    e_i spins to the whole space exactly; a shorter one proves nothing.
+    """
+    reduced = _reduce_generators(mats)
+    if reduced is None:
+        return None
+    prime, d, gens = reduced
+    ech = _Echelon(prime)
+    ech.insert({i: 1})
+    vecs = [{i: 1}]
+    for vec in vecs:
+        if len(ech.pivots) == d:
+            break
+        for g in gens:
+            acc: dict = {}
+            for t, v in vec.items():
+                for j, w in g[t].items():
+                    acc[j] = acc.get(j, 0) + v * w
+            image = {j: v % prime for j, v in acc.items() if v % prime}
+            if image and ech.insert(dict(image)):
+                vecs.append(image)
     return len(ech.pivots)
 
 

@@ -19,6 +19,7 @@ and to one-dimensional modules.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import modular
@@ -26,7 +27,8 @@ from .arith import AlgebraParams, ord_formula
 from .cyclotomic import (CycNumber, _check_json_int, nth_root_in_field,
                          roots_of_unity)
 from .linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
-                     is_invertible, matrix_hom_space, row_reduce, scalar_of)
+                     is_invertible, joint_weights, matrix_hom_space,
+                     row_reduce, scalar_of)
 from .pbw import _coerce_scalar, pq_number
 
 Z_TORSION = "Z_TORSION"
@@ -285,22 +287,74 @@ def is_simple(rep: MatrixRep) -> bool:
     """Exact simplicity test, by certificate where one holds.
 
     A module is simple exactly when its generators span all d x d
-    matrices (Burnside).  If they span d^2 dimensions modulo a prime P,
-    they span d^2 exactly, since reduction mod P can only lower a rank:
-    the module is simple.  If the spin of a standard basis vector under Mx, My and
-    Mz is a proper subspace, that subspace is a submodule: the module is
-    not simple.  When neither certificate holds, the exact span of
-    `algebra_span_dim` decides.  No answer is read from a short rank mod P.
+    matrices (Burnside).  Three certificates are tried before that span:
+
+    * The weight certificate, `weight_certificate`: some standard basis
+      vector e_i with a joint weight of its own under the diagonal ones of
+      Mx, My, Mz and theta spins to the whole space under Mx, My, Mz and
+      under their transposes, mod P.  By Norton's criterion the module is
+      then absolutely simple, so the span is d^2.
+    * A span of d^2 dimensions mod a prime P: reduction mod P can only
+      lower a rank, so the span is d^2 exactly and the module is simple.
+    * A standard basis vector whose exact spin under Mx, My and Mz is a
+      proper subspace: that subspace is a submodule, so the module is not
+      simple.  When the weight certificate did not return None (the
+      basis is a weight basis), this spin runs before the span mod P,
+      since a reducible weight module usually shows a submodule at once.
+
+    When none of them holds, the exact span of `algebra_span_dim`
+    decides.  No answer is read from a short rank or spin mod P.
     """
     if not verify_relations(rep).ok:
         raise ValueError("relation check failed: input is not a module")
     d = rep.d
     gens = [rep.Mx, rep.My, rep.Mz]
+    certified = weight_certificate(rep)
+    if certified:
+        return True
+    weighted = certified is not None
+    if weighted and _spin_finds_submodule(gens, d):
+        return False
     if modular.span_rank(gens) == d * d:
         return True
-    if _spin_finds_submodule(gens, d):
+    if not weighted and _spin_finds_submodule(gens, d):
         return False
     return algebra_span_dim(gens) == d * d
+
+
+def weight_certificate(rep: MatrixRep) -> bool | None:
+    """Norton's irreducibility test on a standard basis vector, mod P.
+
+    Let D be those of Mx, My, Mz and the theta matrix that are diagonal,
+    and give e_i the joint weight of its diagonal entries under D.  None
+    is returned when the weights do not tell any two basis vectors
+    apart: D is empty or holds only scalars.  Theta is formed only when
+    one of Mx, My, Mz is diagonal, so a dense basis pays no product.
+
+    Suppose e_i has a weight that no other e_j shares.  A generic
+    rational combination of D minus its i-th diagonal entry is then an
+    element theta' of the algebra with ker theta' = ker theta'^T = K e_i.
+    Norton's criterion (Parker 1984; Holt and Rees 1994): if e_i spins to
+    the whole space under Mx, My and Mz, and also under their transposes,
+    the module is simple, and since ker theta' is one-dimensional it is
+    absolutely simple, so the generators span all d^2 matrices.  Both
+    spins are needed: a module can have a full forward spin and a proper
+    submodule.  True is returned when both spins are full mod P, which
+    makes them full exactly (`modular.spin_dim`); False when no weight is
+    unique or a spin mod P falls short, which proves nothing.
+    """
+    gens = [rep.Mx, rep.My, rep.Mz]
+    if not any(g.is_diagonal() for g in gens):
+        return None
+    weights = joint_weights(gens + [theta_matrix(rep)])
+    counts = Counter(weights)
+    if len(counts) == 1:
+        return None
+    i = next((i for i, w in enumerate(weights) if counts[w] == 1), None)
+    if i is None:
+        return False
+    return (modular.spin_dim(gens, i) == rep.d
+            and modular.spin_dim([g.transpose() for g in gens], i) == rep.d)
 
 
 def _spin_finds_submodule(gens: list[FieldMatrix], d: int) -> bool:
@@ -590,19 +644,30 @@ def intertwiner(kind: str, desc_a: ModuleDescriptor,
 def find_intertwiner(rep_a: MatrixRep, rep_b: MatrixRep) -> FieldMatrix | None:
     """Solve the intertwining equations exactly; None if only P = 0.
 
-    `matrix_hom_space` holds the zero-hom certificate: if the equations
-    have full rank modulo a prime, only P = 0 solves them and no exact
-    elimination runs.  Otherwise it solves the equations independent mod
-    the prime exactly and verifies each basis matrix exactly, inserting
-    every equation if a check fails.  For simple inputs a nonzero
-    solution is automatically invertible (Schur); a nonzero singular
-    solution means some input was not simple, and is reported as an
-    error.
+    When the theta matrices of both modules are diagonal, the pair
+    (theta_a, theta_b) joins the generator lists: theta is an element of
+    the algebra, so the hom space is unchanged, and its weights narrow
+    the weight support of `matrix_hom_space`.  There, a matrix diagonal
+    on both sides proves that P vanishes except between basis vectors of
+    equal joint weight, and only the equations on that support are
+    solved, exactly; an empty support proves P = 0.  Without a diagonal
+    pair (a dense basis), `matrix_hom_space` reads the zero-hom
+    certificate: if the equations have full rank modulo a prime, only
+    P = 0 solves them and no exact elimination runs.  Otherwise it solves
+    the equations independent mod the prime exactly and verifies each
+    basis matrix exactly, inserting every equation if a check fails.  For
+    simple inputs a nonzero solution is automatically invertible (Schur);
+    a nonzero singular solution means some input was not simple, and is
+    reported as an error.
     """
     if rep_a.params != rep_b.params:
         raise ValueError("params mismatch between modules")
     gens_a = [rep_a.Mx, rep_a.My, rep_a.Mz]
     gens_b = [rep_b.Mx, rep_b.My, rep_b.Mz]
+    th_a, th_b = theta_matrix(rep_a), theta_matrix(rep_b)
+    if th_a.is_diagonal() and th_b.is_diagonal():
+        gens_a.append(th_a)
+        gens_b.append(th_b)
     basis = matrix_hom_space(gens_a, gens_b)
     if not basis:
         return None

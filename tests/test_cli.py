@@ -343,6 +343,24 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out) == {
             "d": 6, "span_dim": 36, "simple": True}
 
+    def test_module_simple_reads_the_weight_certificate(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # V1 in its weight basis: e_0 has a weight of its own under z and
+        # theta and spins to the whole space both ways, so span_dim is d^2
+        # with neither span computed
+        from qheisenberg import modular
+        from qheisenberg.reps import build_v1
+
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(build_v1(P23, 2, 3, 5).to_json()))
+        monkeypatch.setattr(modular, "span_rank", lambda mats: pytest.fail(
+            "span mod P computed"))
+        monkeypatch.setattr(cli, "algebra_span_dim", lambda mats: pytest.fail(
+            "exact span computed"))
+        assert main(["module-simple", "--in", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "d": 6, "span_dim": 36, "simple": True}
+
     def test_module_simple_runs_one_exact_span(self, tmp_path, capsys,
                                                monkeypatch):
         # two one-dimensional modules summed in a dense basis: the span is

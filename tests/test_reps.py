@@ -14,9 +14,10 @@ import sympy
 from qheisenberg import modular
 from qheisenberg.arith import derive_params, ord_formula, pi_degree, valid_pairs
 from qheisenberg.cyclotomic import CycNumber, cyclotomic_polynomial, zeta_power
+from qheisenberg.pbw import pq_number
 from qheisenberg.linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
-                                is_invertible, matrix_hom_space, row_reduce,
-                                scalar_of)
+                                is_invertible, joint_weights, matrix_hom_space,
+                                row_reduce, scalar_of)
 from qheisenberg.reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
                               KIND_V1, KIND_V2, KIND_V3, THETA_TORSION,
                               Z_TORSION, MatrixRep, ModuleDescriptor,
@@ -24,7 +25,7 @@ from qheisenberg.reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
                               build_qplane, build_v1, build_v2, build_v3,
                               classify, direct_sum, find_intertwiner,
                               intertwiner, is_simple, iso_test, theta_matrix,
-                              verify_relations)
+                              verify_relations, weight_certificate)
 from qheisenberg.reps import _spin_finds_submodule
 
 P23 = derive_params(2, 3, 1, 1)
@@ -760,6 +761,7 @@ class TestCertificates:
 
         monkeypatch.setattr("qheisenberg.reps.algebra_span_dim", counted)
         monkeypatch.setattr(modular, "span_rank", lambda mats: 0)
+        monkeypatch.setattr(modular, "spin_dim", lambda mats, i: 0)
         monkeypatch.setattr(modular, "hom_pivots", lambda a, b: [])
         monkeypatch.setattr(modular, "rank", lambda mat: 0)
         v1 = build_v1(P23, zeta_power(6, 1), 2, 3)
@@ -822,6 +824,7 @@ class TestCertificates:
             no_reduction = reps.build_v1(params, Fraction(1, prime), 2, 3)
             print(reps.is_simple(no_reduction), len(calls))
             modular.span_rank = lambda mats: 0
+            modular.spin_dim = lambda mats, i: 0
             modular.hom_pivots = lambda a, b: []
             v1 = reps.build_v1(params, 1, 2, 3)
             other = reps.build_v1(params, 1, 3, 3)
@@ -877,6 +880,19 @@ def hom_space_cases():
     return cases
 
 
+def count_inserts(monkeypatch):
+    """A list that gets one entry per SparseEchelon.insert call."""
+    calls = []
+    insert = SparseEchelon.insert
+
+    def counted(self, vec):
+        calls.append(1)
+        return insert(self, vec)
+
+    monkeypatch.setattr(SparseEchelon, "insert", counted)
+    return calls
+
+
 def _drop_first(pivots):
     return None if pivots is None else pivots[1:]
 
@@ -906,21 +922,39 @@ class TestHomSpace:
 
     def test_isomorphic_pair_inserts_only_admitted_equations(self, monkeypatch):
         # a simple pair has a one-dimensional hom space, so d^2 - 1 of the
-        # 3 d^2 equations are independent; only those reach the exact echelon
-        calls = []
-        insert = SparseEchelon.insert
-
-        def counted(self, vec):
-            calls.append(1)
-            return insert(self, vec)
-
-        monkeypatch.setattr(SparseEchelon, "insert", counted)
+        # 3 d^2 equations are independent; only those reach the exact
+        # echelon.  No generator is diagonal on both sides of these pairs,
+        # so the weight support does not apply.
+        calls = count_inserts(monkeypatch)
         v1 = build_v1(P23, zeta_power(6, 1), 2, 3)
         dense = integer_conjugate(v1, random.Random(37))
-        for other in (v1, dense):
+        dense2 = integer_conjugate(v1, random.Random(38))
+        for a, b in ((v1, dense), (dense, dense2)):
             calls.clear()
-            assert len(matrix_hom_space(gens(v1), gens(other))) == 1
+            assert len(matrix_hom_space(gens(a), gens(b))) == 1
             assert len(calls) == v1.d ** 2 - 1
+
+    def test_weight_support_inserts_only_equations_on_it(self, monkeypatch):
+        # Mz and theta are diagonal on V1 with distinct joint weights, so an
+        # intertwiner to a weight-shifted twin is supported on d unknowns.
+        # Each of them enters two equations of Mx and two of My, and these
+        # coincide in pairs: 2d equations, rank d - 1, against the d^2 - 1
+        # equations the modular pivots would insert.
+        calls = count_inserts(monkeypatch)
+        monkeypatch.setattr(modular, "hom_pivots", lambda a, b: pytest.fail(
+            "the weight support needs no modular step"))
+        v1 = build_v1(P23, zeta_power(6, 1), 2, 3)
+        twin = build_v1(P23, zeta_power(6, 1), 2 * P23.p ** 2, 3 * P23.q ** -2)
+        full = [gens(v) + [theta_matrix(v)] for v in (v1, twin)]
+        basis = matrix_hom_space(*full)
+        assert len(basis) == 1 and is_invertible(basis[0])
+        assert len(calls) == 2 * v1.d
+        assert basis == reference_hom_space(gens(v1), gens(twin))
+        # unequal weights on every pair: an empty support, no equation
+        calls.clear()
+        other = build_v1(P23, zeta_power(6, 1), 5, 3)
+        assert matrix_hom_space(full[0], gens(other) + [theta_matrix(other)]) == []
+        assert calls == []
 
 
 class TestDenseBasis:
@@ -942,3 +976,136 @@ class TestDenseBasis:
         rep = direct_sum(build_v1(params, 2, 3, 5), build_v1(params, 3, 5, 7))
         assert rep.d == 40
         assert not is_simple(rep)
+
+
+def ladder(params, lam):
+    """A y-ladder like V3 but of length 2 ord(pq): a module that is not simple.
+
+    x lowers by lam [k]_{p,q}, which vanishes at k = ord(pq), so e_0
+    spins to the whole space under y but the top half is a submodule.
+    """
+    cond = params.conductor
+    d = 2 * ord_formula(params.m, params.n, params.k1, params.k2)
+    mz = FieldMatrix.diagonal([params.power(-k, 0) * lam for k in range(d)], cond)
+    mx = FieldMatrix.from_entries(d, d, {(k, k - 1): pq_number(params, k) * lam
+                                         for k in range(1, d)}, cond)
+    my = FieldMatrix.from_entries(d, d, {(k, k + 1): 1 for k in range(d - 1)},
+                                  cond)
+    return MatrixRep(params, d, mx, my, mz)
+
+
+def twin(params, rep_kind, scalars, rng):
+    """An isomorphic build with other scalars: a root-of-unity twist of the
+    cycle scalar and a weight shift, as `iso_test` describes."""
+    mu, lam, gam, a, b = scalars
+    w = zeta_power(params.conductor,
+                   params.conductor // params.l * rng.randrange(params.l))
+    k = rng.randrange(params.l)
+    if rep_kind == KIND_V1:
+        return build_v1(params, mu * w, lam * params.power(k, 0),
+                        gam * params.power(0, -k))
+    if rep_kind == KIND_V2:
+        return build_v2(params, mu * w, lam)
+    if rep_kind == KIND_V3:
+        return build_v3(params, lam)
+    if rep_kind == KIND_QPLANE_Z:
+        return build_qplane(params, Z_TORSION, a * params.power(0, k), b)
+    return build_qplane(params, THETA_TORSION, a, b * params.power(k, 0))
+
+
+@functools.lru_cache(maxsize=1)
+def weight_basis_cases():
+    """Per parameter set with l <= 8: the five canonical builds, a twin of
+    each, the sums A+B and A+A', and integer conjugates."""
+    rng = random.Random(39)
+    kinds = (KIND_V1, KIND_V2, KIND_V3, KIND_QPLANE_Z, KIND_QPLANE_THETA)
+    out = []
+    dense_done = set()
+    for params in all_params(8):
+        scalars = sample_scalars(params, rng, 5)
+        mu, lam, gam, a, b = scalars
+        mods = [build_v1(params, mu, lam, gam), build_v2(params, mu, lam),
+                build_v3(params, lam), build_qplane(params, Z_TORSION, a, b),
+                build_qplane(params, THETA_TORSION, a, b)]
+        twins = [twin(params, kind, scalars, rng) for kind in kinds]
+        v1, v2, v3, qz, qt = mods
+        # A+B pairs avoid a theta-torsion summand beside another family,
+        # whose exact span does not finish at d = 8
+        sums = [direct_sum(v1, v2), direct_sum(v3, qz),
+                direct_sum(v1, twins[0]), direct_sum(v2, twins[1]),
+                direct_sum(qt, twins[4])]
+        # the dense solves dominate; the first parameter set of each
+        # conductor takes them: V1, QPlaneTheta and QPlaneZ (whose z = 0
+        # stays diagonal) conjugated, and a small sum
+        dense = []
+        if params.conductor not in dense_done:
+            dense_done.add(params.conductor)
+            dense = [integer_conjugate(m, rng) for m in (v1, qt, qz)]
+            if v3.d + qz.d <= 4:
+                dense.append(integer_conjugate(sums[1], rng))
+        out.append((params, mods, twins, sums, dense))
+    return out
+
+
+class TestWeightCertificates:
+    """The weight certificate and the weight support against the exact answers."""
+
+    def test_ladder_needs_both_spins(self):
+        params = derive_params(2, 6, 1, 1)
+        rep = ladder(params, CycNumber.from_rational(params.conductor, 2))
+        assert rep.d == 6 and verify_relations(rep).ok
+        weights = joint_weights(gens(rep) + [theta_matrix(rep)])
+        assert weights.count(weights[0]) == 1
+        assert modular.spin_dim(gens(rep), 0) == 6
+        assert modular.spin_dim([g.transpose() for g in gens(rep)], 0) == 3
+        assert algebra_span_dim(gens(rep)) == 27
+        assert weight_certificate(rep) is False
+        assert not is_simple(rep)
+
+    def test_certificate_needs_a_diagonal_matrix(self):
+        rep = integer_conjugate(build_v1(P23, 2, 3, 5), random.Random(40))
+        assert weight_certificate(rep) is None
+        assert weight_certificate(build_v1(P23, 2, 3, 5)) is True
+
+    def test_property_is_simple_matches_exact_span(self):
+        # The canonical builds are checked by test_simple_sweep.  Twins are
+        # canonical builds and so simple, and a direct sum is never simple;
+        # the exact span confirms both up to l = 6 and is skipped above,
+        # where it takes most of a minute over these cases.
+        for params, mods, twins, sums, dense in weight_basis_cases():
+            known_cases = [(t, True) for t in twins] + [(s, False) for s in sums]
+            for rep, known in known_cases:
+                if params.l <= 6:
+                    assert (algebra_span_dim(gens(rep)) == rep.d ** 2) == known
+                assert is_simple(rep) == known, (params.m, params.n, rep.d)
+            for rep in dense:
+                # the exact span of a dense basis finishes up to d = 4;
+                # the simple ones keep the span of their canonical build
+                exact = (algebra_span_dim(gens(rep)) == rep.d ** 2
+                         if rep.d <= 4 else True)
+                assert is_simple(rep) == exact, (params.m, params.n, rep.d)
+
+    def test_property_hom_space_matches_reference(self):
+        # (A, A) for every family is in hom_space_cases up to l = 6
+        for params, mods, twins, sums, dense in weight_basis_cases():
+            pairs = list(zip(mods, twins))
+            pairs += [(mods[0], mods[1]), (mods[2], mods[3]),
+                      (sums[0], mods[0]), (mods[1], sums[3])]
+            if params.l <= 6:
+                pairs.append((sums[2], sums[2]))
+            # the dense conjugates take the hom_pivots path, the QPlaneZ one
+            # with a diagonal z = 0 that tells no unknown apart; above l = 6
+            # the exact solve of a dense V1 takes seconds
+            if dense:
+                pairs += [(dense[1], mods[4]), (dense[2], mods[3])]
+                if params.l <= 6:
+                    pairs.append((dense[0], mods[0]))
+            for a, b in pairs:
+                where = (params.m, params.n, a.d, b.d)
+                want = reference_hom_space(gens(a), gens(b))
+                assert matrix_hom_space(gens(a), gens(b)) == want, where
+                th_a, th_b = theta_matrix(a), theta_matrix(b)
+                if th_a.is_diagonal() and th_b.is_diagonal():
+                    # theta lies in the algebra: the same hom space
+                    assert matrix_hom_space(gens(a) + [th_a],
+                                            gens(b) + [th_b]) == want, where
