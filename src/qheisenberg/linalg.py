@@ -5,20 +5,19 @@ row keeps only its nonzero CycNumber entries.  The representation
 matrices here have at most one nonzero entry per row (diagonal, cyclic
 shift, or shift times diagonal), so products, sums and relation residuals
 cost O(nonzeros) rather than O(l^3).  On top of it sits one exact
-elimination, the fraction-free `SparseEchelon`.  It serves every exact
-rank, kernel and span: `row_reduce`, the dimension of a matrix algebra
-generated by a few matrices, and the space of intertwiners between two
-representations.
+elimination, `SparseEchelon`, whose pivot rows have lead entry 1.  It
+serves every exact rank, kernel and span: `row_reduce`, the dimension of
+a matrix algebra generated by a few matrices, and the space of
+intertwiners between two representations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
 
 from . import modular
-from .cyclotomic import CycNumber, _check_json_int, _normalised, euler_phi
+from .cyclotomic import CycNumber, _check_json_int, euler_phi
 
 
 class FieldMatrix:
@@ -326,14 +325,15 @@ def scalar_of(mat: FieldMatrix) -> CycNumber | None:
 class SparseEchelon:
     """Incremental echelon basis of sparse vectors (dict index -> coeff).
 
-    Indices may be any mutually comparable keys.  Elimination is
-    fraction-free: the incoming vector is cross-multiplied against the
-    pivot row and its rational content stripped after every step, so no
-    field inversions happen until kernel extraction.  Lead-normalized
-    pivots turned out to compound denominators exponentially on dense
-    inputs; this scheme keeps entries near minor size.  Every entry of a
-    pivot row sits at an index >= its lead, which makes back-substitution
-    a single descending pass.
+    Indices may be any mutually comparable keys.  Pivots are
+    lead-normalised: each pivot row is stored under its lead, its
+    smallest index, where its entry is exactly 1, and all its other
+    entries sit at larger indices.  Reducing a vector subtracts a * row
+    for each pivot lead it meets, and an admitted remainder is divided
+    by its lead, so one field inversion is paid per admitted row.  Each
+    entry of a pivot row is then a ratio of two minors of the admitted
+    vectors, so on a dense basis the entries stay near minor size.
+    Back-substitution is a single descending pass over the leads.
     """
 
     def __init__(self, conductor: int):
@@ -344,57 +344,43 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    @staticmethod
-    def _strip(vec: dict) -> dict:
-        # Scale by den_lcm / num_gcd so that every coordinate becomes an
-        # integer and all of them together are coprime.  For a normalised
-        # num/den the reduced coordinates have numerator gcd content(num)
-        # and denominator lcm den, so the integer pairs give both directly.
-        num_gcd = 0
-        den_lcm = 1
-        for cn in vec.values():
-            num_gcd = gcd(num_gcd, *cn.num)
-            if cn.den != 1:
-                den_lcm = lcm(den_lcm, cn.den)
-        if num_gcd in (0, den_lcm):
-            return vec
-        # an integer row over den 1 is normalised already; _normalised skips
-        # the constructor's coercion and lcm pass on this hot path
-        return {k: _normalised(
-                    v.conductor, [x // num_gcd * (den_lcm // v.den) for x in v.num], 1)
-                for k, v in vec.items()}
-
     def reduce(self, vec: dict) -> dict:
-        vec = self._strip({k: v for k, v in vec.items() if not v.is_zero()})
+        vec = {k: v for k, v in vec.items() if not v.is_zero()}
         while vec:
             lead = min(vec)
             row = self.pivots.get(lead)
             if row is None:
                 return vec
             a = vec.pop(lead)
-            b = row[lead]
-            new = {k: b * v for k, v in vec.items()}
             for idx, rv in row.items():
                 if idx == lead:
                     continue
-                cur = new.get(idx)
-                nv = -a * rv if cur is None else cur - a * rv
-                if nv.is_zero():
-                    new.pop(idx, None)
+                cur = vec.get(idx)
+                if cur is None:
+                    vec[idx] = -(a * rv)
                 else:
-                    new[idx] = nv
-            vec = self._strip(new)
+                    nv = cur - a * rv
+                    if nv.is_zero():
+                        del vec[idx]
+                    else:
+                        vec[idx] = nv
         return vec
 
     def insert(self, vec: dict) -> dict | None:
-        """Reduce vec against the basis; admit and return the remainder.
+        """Reduce vec against the basis; admit and return the remainder,
+        divided by its lead entry.
 
         Returns None when vec was already in the span.
         """
         rem = self.reduce(vec)
         if not rem:
             return None
-        self.pivots[min(rem)] = rem
+        lead = min(rem)
+        one = CycNumber.one(self.conductor)
+        if rem[lead] != one:
+            inv = rem[lead].inverse()
+            rem = {k: v * inv for k, v in rem.items()}
+        self.pivots[lead] = rem
         return rem
 
     def kernel_basis(self, indices) -> list[dict]:
@@ -416,7 +402,7 @@ class SparseEchelon:
                     if idx != lead and idx in sol:
                         acc = acc + c * sol[idx]
                 if not acc.is_zero():
-                    sol[lead] = -acc * row[lead].inverse()
+                    sol[lead] = -acc
             basis.append(sol)
         return basis
 

@@ -360,8 +360,9 @@ def weight_certificate(rep: MatrixRep) -> bool | None:
 def _spin_finds_submodule(gens: list[FieldMatrix], d: int) -> bool:
     # The spin of e_i is the span of e_i times every word in the
     # generators; it is invariant, so a dimension below d shows a proper
-    # submodule.  Images of e_i, not echelon remainders, are multiplied
-    # on: fraction-free remainders fed back blow up on a dense basis.
+    # submodule.  Images of e_i, not echelon rows, are multiplied on:
+    # they keep the entries of products of the generators, while the
+    # lead-normalised rows carry the echelon's denominators.
     cond = gens[0].conductor
     for i in range(d):
         ech = SparseEchelon(cond)

@@ -1,7 +1,6 @@
 """Exact matrix layer: arithmetic, reduction, span and hom-space solvers."""
 
 import functools
-import math
 import random
 from fractions import Fraction
 
@@ -237,30 +236,36 @@ class TestSparseEchelon:
                             acc = acc + e * sol[j]
                     assert acc.is_zero()
 
-    def test_strip_matches_fraction_content_scaling(self):
-        # reference: scale by lcm of the coordinate denominators over gcd
-        # of the coordinate numerators, computed on Fractions
+    def test_pivot_rows_are_lead_normalised(self):
+        # random sparse and dense rows with rational and cyclotomic
+        # entries: every pivot row is stored under its lead, has lead
+        # entry exactly one, stores no zero and nothing below its lead,
+        # and the inserted rows stay in the echelon's span
         rng = random.Random(11)
         for n in (3, 8, 12, 15):
-            for _ in range(30):
-                vec = {}
-                for key in range(rng.randint(1, 4)):
-                    coords = [Fraction(rng.choice((0, 1, -2, 6, 9, -15)),
-                                       rng.choice((1, 2, 3, 4, 9)))
-                              for _ in range(len(CycNumber.zero(n).num))]
-                    if any(coords):
-                        vec[key] = CycNumber(n, coords)
-                num_gcd, den_lcm = 0, 1
-                for v in vec.values():
-                    for fr in v.coeffs:
-                        num_gcd = math.gcd(num_gcd, fr.numerator)
-                        den_lcm = math.lcm(den_lcm, fr.denominator)
-                want = (vec if num_gcd in (0, den_lcm) else
-                        {k: v * Fraction(den_lcm, num_gcd) for k, v in vec.items()})
-                got = SparseEchelon._strip(vec)
-                assert got == want
-                assert all(v.den == 1 for v in got.values())
-                assert math.gcd(*(x for v in got.values() for x in v.num)) in (0, 1)
+            phi = len(CycNumber.zero(n).num)
+            for _ in range(20):
+                ncols = rng.randint(1, 6)
+                ech = SparseEchelon(n)
+                rows = []
+                for _ in range(rng.randint(1, 8)):
+                    density = rng.choice((0.3, 1.0))
+                    vec = {}
+                    for j in range(ncols):
+                        coords = [Fraction(rng.choice((0, 1, -2, 6, 9, -15)),
+                                           rng.choice((1, 2, 3, 4, 9)))
+                                  for _ in range(phi)]
+                        if rng.random() < density and any(coords):
+                            vec[j] = CycNumber(n, coords)
+                    rows.append(vec)
+                    admitted = ech.insert(vec)
+                    if admitted is not None:
+                        assert ech.pivots[min(admitted)] is admitted
+                for lead, row in ech.pivots.items():
+                    assert min(row) == lead
+                    assert row[lead] == CycNumber.one(n)
+                    assert not any(v.is_zero() for v in row.values())
+                assert all(ech.reduce(vec) == {} for vec in rows)
 
 
 class TestAlgebraSpan:
@@ -449,11 +454,31 @@ def to_sympy(field, x):
     return field.new([sympy.QQ(c, x.den) for c in reversed(x.num)])
 
 
+def dense_conjugate(mat, entries):
+    """S mat adj(S) for the integer matrix S with the given rows, or None
+    when S is singular: a nonzero multiple of S mat S^-1, in a dense basis."""
+    s = sympy.Matrix(entries)
+    if s.det() == 0:
+        return None
+    cond = mat.conductor
+    return (FieldMatrix(entries, cond) * mat
+            * FieldMatrix(s.adjugate().tolist(), cond))
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), conductor=st.sampled_from((1, 4, 6, 12)),
        n=st.integers(1, 6), m=st.integers(1, 6))
 def test_property_row_reduce_matches_sympy(data, conductor, n, m):
     mat = data.draw(matrices(conductor, n, m))
+    if data.draw(st.booleans()):
+        # a square matrix conjugated by a random integer matrix: the dense
+        # bases on which the entries of an elimination can blow up
+        d = data.draw(st.integers(1, 8))
+        s = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d,
+                                        max_size=d), min_size=d, max_size=d))
+        dense = dense_conjugate(data.draw(matrices(conductor, d, d)), s)
+        if dense is not None:
+            mat, n, m = dense, d, d
     field = sympy_field(conductor)
     want, pivots = DomainMatrix([[to_sympy(field, x) for x in row]
                                  for row in mat.rows], (n, m), field).rref()

@@ -934,6 +934,22 @@ class TestHomSpace:
             assert len(matrix_hom_space(gens(a), gens(b))) == 1
             assert len(calls) == v1.d ** 2 - 1
 
+    def test_dense_pair_without_weight_support(self):
+        # two integer conjugates of QPlaneZ at d = 5: only z = 0 is
+        # diagonal, so the hom_pivots path solves it.  Conjugation does
+        # not change the hom space's dimension, 1 as for the pair
+        # (QPlaneZ, QPlaneZ).
+        qz = build_qplane(derive_params(1, 5), Z_TORSION, 2, 3)
+        rng = random.Random(41)
+        a, b = integer_conjugate(qz, rng), integer_conjugate(qz, rng)
+        assert a.d == 5 and not a.Mx.is_diagonal()
+        want = len(matrix_hom_space(gens(qz), gens(qz)))
+        assert want == 1
+        basis = matrix_hom_space(gens(a), gens(b))
+        assert len(basis) == want
+        for x in basis:
+            assert all(ma * x == x * mb for ma, mb in zip(gens(a), gens(b)))
+
     def test_weight_support_inserts_only_equations_on_it(self, monkeypatch):
         # Mz and theta are diagonal on V1 with distinct joint weights, so an
         # intertwiner to a weight-shifted twin is supported on d unknowns.
@@ -976,6 +992,43 @@ class TestDenseBasis:
         rep = direct_sum(build_v1(params, 2, 3, 5), build_v1(params, 3, 5, 7))
         assert rep.d == 40
         assert not is_simple(rep)
+
+    @staticmethod
+    def weight_kernel_input(m, n):
+        # (Mz - 3)^T for a dense V1 with lam = 3, the weight of e_0: the
+        # left kernel of Mz - 3 is a weight space that classify reads
+        rep = integer_conjugate(build_v1(derive_params(m, n), 2, 3, 5),
+                                random.Random(1))
+        ident = FieldMatrix.identity(rep.d, rep.params.conductor)
+        return rep.Mz - ident.scale(3)
+
+    def test_pivot_entries_stay_small_on_dense_l12_kernel(self, monkeypatch):
+        # every coordinate of every pivot row, numerators and denominators;
+        # the pivot entries are ratios of minors of about 50 bits here
+        bits = []
+        insert = SparseEchelon.insert
+
+        def measured(self, vec):
+            row = insert(self, vec)
+            if row is not None:
+                bits.extend(max(v.den.bit_length(),
+                                *(abs(x).bit_length() for x in v.num))
+                            for v in row.values())
+            return row
+
+        monkeypatch.setattr(SparseEchelon, "insert", measured)
+        mat = self.weight_kernel_input(3, 4)
+        _, rank, _ = row_reduce(mat.transpose())
+        assert rank == 8 and bits
+        assert max(bits) < 500
+
+    def test_weight_kernel_on_dense_l20(self):
+        mat = self.weight_kernel_input(4, 5)
+        assert mat.shape == (20, 20)
+        _, rank, null = row_reduce(mat.transpose())
+        assert rank == 15 and len(null) == 5
+        for v in null:
+            assert (FieldMatrix([v], mat.conductor) * mat).is_zero()
 
 
 def ladder(params, lam):
