@@ -11,7 +11,9 @@ Exit codes: 0 on success, 1 for domain errors (inadmissible parameters,
 unreadable module files, non-simple input where a simple module is
 required, an integer beyond the interpreter's limit on the digits of an
 int read or printed in decimal), 2 for usage errors (bad flags,
-malformed expressions).  A usage error never produces partial output.
+malformed expressions, and expressions that nest parentheses and unary
+minuses more than MAX_NESTING = 100 deep).  A usage error never produces
+partial output.
 
 Expressions are built from the atoms x, y, z, theta, g, and integer or
 rational literals such as 7 and 3/2, where g is the primitive root of
@@ -30,17 +32,15 @@ import json
 import sys
 from fractions import Fraction
 
-from . import modular
 from .arith import (AlgebraParams, InvalidParameters, derive_params, ord_pq,
                     pi_degree, pi_degree_snf, relation_matrix, scan_orders,
                     smith_normal_form)
 from .cyclotomic import ConductorMismatch, CycNumber, zeta_power
-from .linalg import algebra_span_dim
 from .pbw import PbwElement, center_generators, generators, theta
 from .reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z, KIND_V1,
                    KIND_V2, KIND_V3, MatrixRep, ModuleDescriptor,
-                   build_from_descriptor, classify, iso_test,
-                   verify_relations, weight_certificate)
+                   build_from_descriptor, classify, iso_test, span_dim,
+                   verify_relations)
 
 
 class UsageError(Exception):
@@ -104,17 +104,30 @@ def _lex(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Open parentheses plus chained unary minuses an expression may nest; each
+# level is a few stack frames, so this keeps far below the recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent over the token list, evaluating as it goes.
 
     Precedence, loosest first: sum, product (explicit * or
-    juxtaposition, applied in written order), power, atom.
+    juxtaposition, applied in written order), power, atom.  An opening
+    parenthesis or unary minus that nests deeper than MAX_NESTING raises
+    ExprError at its byte.
     """
 
     def __init__(self, src: str, params: AlgebraParams) -> None:
         self.tokens = _lex(src)
         self.pos = 0
         self.params = params
+        self.depth = 0
+
+    def nest(self, offset: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprError(f"nesting deeper than {MAX_NESTING}", offset)
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -153,8 +166,10 @@ class _Parser:
 
     def factor(self) -> PbwElement:
         if self.peek()[0] == "-":
-            self.advance()
-            return -self.factor()
+            self.nest(self.advance()[2])
+            value = -self.factor()
+            self.depth -= 1
+            return value
         value = self.primary()
         while self.peek()[0] == "^":
             self.advance()
@@ -180,10 +195,12 @@ class _Parser:
                         self.params,
                         zeta_power(self.params.conductor, 1))}[text]
         if kind == "(":
+            self.nest(offset)
             value = self.expr()
             closing, text, offset = self.advance()
             if closing != ")":
                 raise ExprError("expected ')'", offset)
+            self.depth -= 1
             return value
         if kind == "end":
             raise ExprError("unexpected end of input", offset)
@@ -355,13 +372,7 @@ def _cmd_module_simple(args):
     rep = _load_rep(args.infile)
     if not verify_relations(rep).ok:
         raise ValueError("module file does not satisfy the defining relations")
-    # the weight certificate and a span of rank d^2 mod P each prove the
-    # span is d^2; otherwise the exact span is computed once and gives
-    # both span_dim and the answer
-    gens = [rep.Mx, rep.My, rep.Mz]
-    span = rep.d * rep.d
-    if not weight_certificate(rep) and modular.span_rank(gens) != span:
-        span = algebra_span_dim(gens)
+    span = span_dim(rep)
     payload = {"d": rep.d, "span_dim": span, "simple": span == rep.d * rep.d}
     lines = [f"d: {rep.d}", f"span_dim: {span}",
              f"simple: {_fmt(payload['simple'])}"]

@@ -284,10 +284,17 @@ def theta_matrix(rep: MatrixRep) -> FieldMatrix:
 
 
 def is_simple(rep: MatrixRep) -> bool:
-    """Exact simplicity test, by certificate where one holds.
+    """Exact simplicity test (Burnside): is `span_dim` all of d x d?"""
+    if not verify_relations(rep).ok:
+        raise ValueError("relation check failed: input is not a module")
+    return _certified_span(rep) == rep.d * rep.d
 
-    A module is simple exactly when its generators span all d x d
-    matrices (Burnside).  Three certificates are tried before that span:
+
+def span_dim(rep: MatrixRep) -> int:
+    """Dimension of the unital algebra spanned by Mx, My and Mz.
+
+    The span is d^2 exactly when the module is simple (Burnside).  Three
+    certificates are tried before the exact span is computed:
 
     * The weight certificate, `weight_certificate`: some standard basis
       vector e_i with a joint weight of its own under the diagonal ones of
@@ -302,24 +309,28 @@ def is_simple(rep: MatrixRep) -> bool:
       basis is a weight basis), this spin runs before the span mod P,
       since a reducible weight module usually shows a submodule at once.
 
-    When none of them holds, the exact span of `algebra_span_dim`
-    decides.  No answer is read from a short rank or spin mod P.
+    Otherwise the exact span of `algebra_span_dim` is the value.  No answer
+    is read from a short rank or spin mod P; the relations are not checked.
     """
-    if not verify_relations(rep).ok:
-        raise ValueError("relation check failed: input is not a module")
+    span = _certified_span(rep)
+    return algebra_span_dim([rep.Mx, rep.My, rep.Mz]) if span is None else span
+
+
+def _certified_span(rep: MatrixRep) -> int | None:
+    # d^2 if certified simple, None if a spin finds a submodule, else the span
     d = rep.d
     gens = [rep.Mx, rep.My, rep.Mz]
     certified = weight_certificate(rep)
     if certified:
-        return True
+        return d * d
     weighted = certified is not None
     if weighted and _spin_finds_submodule(gens, d):
-        return False
+        return None
     if modular.span_rank(gens) == d * d:
-        return True
+        return d * d
     if not weighted and _spin_finds_submodule(gens, d):
-        return False
-    return algebra_span_dim(gens) == d * d
+        return None
+    return algebra_span_dim(gens)
 
 
 def weight_certificate(rep: MatrixRep) -> bool | None:

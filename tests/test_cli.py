@@ -10,8 +10,8 @@ import pytest
 
 from qheisenberg import cli
 from qheisenberg.arith import derive_params
-from qheisenberg.cli import (ExprError, build_parser, main, parse_expression,
-                             parse_scalar)
+from qheisenberg.cli import (MAX_NESTING, ExprError, build_parser, main,
+                             parse_expression, parse_scalar)
 from qheisenberg.cyclotomic import CycNumber, zeta_power
 from qheisenberg.pbw import PbwElement, generators, product, theta
 
@@ -124,6 +124,25 @@ class TestExpressions:
             parse_expression("2*é", P23)
         assert info.value.offset == 2
 
+    def test_nesting_limit(self):
+        # parentheses and chained unary minuses each count one level;
+        # the opening byte of the first level too deep is reported
+        x, _, _ = generators(P23)
+        deep = MAX_NESTING
+        assert parse_expression("(" * deep + "x" + ")" * deep, P23) == x
+        assert parse_expression("x+" + "-" * deep + "x", P23) == \
+            x + (x if deep % 2 == 0 else -x)
+        assert parse_expression("-(" * (deep // 2) + "x" + ")" * (deep // 2),
+                                P23) == x
+        for src, offset in [
+                ("(" * (deep + 1) + "x" + ")" * (deep + 1), deep),
+                ("x+" + "-" * (deep + 1) + "x", deep + 2),
+                ("-(" * (deep // 2) + "-x" + ")" * (deep // 2), deep)]:
+            with pytest.raises(ExprError) as info:
+                parse_expression(src, P23)
+            assert info.value.offset == offset
+            assert str(info.value).endswith(f"nesting deeper than {deep}")
+
     def test_parse_scalar(self):
         value = parse_scalar("2*g^3", P23)
         assert value == CycNumber.from_rational(6, -2)
@@ -163,6 +182,23 @@ class TestExitCodes:
                      "--lam", "1", "--mu", "2"])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv, offset", [
+        (["normal-form", "--m", "2", "--n", "3",
+          "(" * 250 + "x" + ")" * 250], MAX_NESTING),
+        (["normal-form", "--m", "2", "--n", "3",
+          "x+" + "- " * 1000 + "x"], 2 * MAX_NESTING + 2),
+        (["module-build", "--m", "2", "--n", "3", "--kind", "V3",
+          "--lam", "(" * 250 + "1" + ")" * 250], MAX_NESTING),
+    ], ids=["parentheses", "unary_minuses", "scalar_option"])
+    def test_deep_nesting_is_usage_error(self, capsys, argv, offset):
+        # past the nesting limit the parser stops before the interpreter's
+        # recursion limit would end it with a traceback
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: syntax error at byte {offset}: "
+                                f"nesting deeper than {MAX_NESTING}\n")
 
     def test_zero_scalar_is_domain_error(self, capsys):
         code = main(["module-build", "--m", "2", "--n", "3", "--kind", "V2",
@@ -348,14 +384,14 @@ class TestExitCodes:
         # V1 in its weight basis: e_0 has a weight of its own under z and
         # theta and spins to the whole space both ways, so span_dim is d^2
         # with neither span computed
-        from qheisenberg import modular
+        from qheisenberg import modular, reps
         from qheisenberg.reps import build_v1
 
         path = tmp_path / "v1.json"
         path.write_text(json.dumps(build_v1(P23, 2, 3, 5).to_json()))
         monkeypatch.setattr(modular, "span_rank", lambda mats: pytest.fail(
             "span mod P computed"))
-        monkeypatch.setattr(cli, "algebra_span_dim", lambda mats: pytest.fail(
+        monkeypatch.setattr(reps, "algebra_span_dim", lambda mats: pytest.fail(
             "exact span computed"))
         assert main(["module-simple", "--in", str(path)]) == 0
         assert json.loads(capsys.readouterr().out) == {
@@ -383,7 +419,6 @@ class TestExitCodes:
             calls.append(len(mats))
             return linalg.algebra_span_dim(mats)
 
-        monkeypatch.setattr(cli, "algebra_span_dim", counted)
         monkeypatch.setattr(reps, "algebra_span_dim", counted)
         assert main(["module-simple", "--in", str(path)]) == 0
         assert json.loads(capsys.readouterr().out) == {
@@ -394,7 +429,7 @@ class TestExitCodes:
                                                       monkeypatch):
         # the exact span is seeded with the identity, so only Mx, My and
         # Mz are passed to it
-        from qheisenberg import linalg
+        from qheisenberg import linalg, reps
         from qheisenberg.reps import build_v3, direct_sum
 
         rep = build_v3(P23, 1)
@@ -406,11 +441,29 @@ class TestExitCodes:
             calls.append(len(mats))
             return linalg.algebra_span_dim(mats)
 
-        monkeypatch.setattr(cli, "algebra_span_dim", counted)
+        monkeypatch.setattr(reps, "algebra_span_dim", counted)
         assert main(["module-simple", "--in", str(path)]) == 0
         assert json.loads(capsys.readouterr().out) == {
             "d": 12, "span_dim": 36, "simple": False}
         assert calls == [3]
+
+    def test_module_simple_skips_span_mod_p_on_weight_basis(self, tmp_path,
+                                                            capsys,
+                                                            monkeypatch):
+        # V3 + V3 in its weight basis shares every weight, and the exact
+        # spin of e_0 is a proper submodule, so the span mod P is never
+        # needed before the exact span
+        from qheisenberg import modular
+        from qheisenberg.reps import build_v3, direct_sum
+
+        rep = build_v3(P23, 1)
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps(direct_sum(rep, rep).to_json()))
+        monkeypatch.setattr(modular, "span_rank", lambda mats: pytest.fail(
+            "span mod P computed"))
+        assert main(["module-simple", "--in", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "d": 12, "span_dim": 36, "simple": False}
 
     def test_non_simple_module_is_domain_error(self, tmp_path, capsys):
         import io

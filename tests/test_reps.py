@@ -24,8 +24,9 @@ from qheisenberg.reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
                               build_from_descriptor, build_one_dim,
                               build_qplane, build_v1, build_v2, build_v3,
                               classify, direct_sum, find_intertwiner,
-                              intertwiner, is_simple, iso_test, theta_matrix,
-                              verify_relations, weight_certificate)
+                              intertwiner, is_simple, iso_test, span_dim,
+                              theta_matrix, verify_relations,
+                              weight_certificate)
 from qheisenberg.reps import _spin_finds_submodule
 
 P23 = derive_params(2, 3, 1, 1)
@@ -1124,18 +1125,24 @@ class TestWeightCertificates:
         # The canonical builds are checked by test_simple_sweep.  Twins are
         # canonical builds and so simple, and a direct sum is never simple;
         # the exact span confirms both up to l = 6 and is skipped above,
-        # where it takes most of a minute over these cases.
+        # where it takes most of a minute over these cases.  Wherever the
+        # exact span runs, span_dim must give the same value.
         for params, mods, twins, sums, dense in weight_basis_cases():
             known_cases = [(t, True) for t in twins] + [(s, False) for s in sums]
             for rep, known in known_cases:
                 if params.l <= 6:
-                    assert (algebra_span_dim(gens(rep)) == rep.d ** 2) == known
+                    exact = algebra_span_dim(gens(rep))
+                    assert (exact == rep.d ** 2) == known
+                    assert span_dim(rep) == exact, (params.m, params.n, rep.d)
                 assert is_simple(rep) == known, (params.m, params.n, rep.d)
             for rep in dense:
                 # the exact span of a dense basis finishes up to d = 4;
                 # the simple ones keep the span of their canonical build
-                exact = (algebra_span_dim(gens(rep)) == rep.d ** 2
-                         if rep.d <= 4 else True)
+                exact = True
+                if rep.d <= 4:
+                    span = algebra_span_dim(gens(rep))
+                    assert span_dim(rep) == span, (params.m, params.n, rep.d)
+                    exact = span == rep.d ** 2
                 assert is_simple(rep) == exact, (params.m, params.n, rep.d)
 
     def test_property_hom_space_matches_reference(self):
