@@ -21,14 +21,18 @@ unity underlying the chosen parameters.  Products may be written with *
 or by juxtaposition, ^ takes a non-negative integer exponent, and + -
 ( ) behave as usual.  Scalar-valued options (--mu, --lam, --gamma and
 their 2-suffixed forms) accept the same syntax restricted to scalars,
-e.g. --mu 3/2 or --lam "2*g^3".
+e.g. --mu 3/2 or --lam "2*g^3".  Text that starts with a minus would be
+read as an option: put an expression after -- (normal-form --m 2 --n 3
+-- "-x") and join a scalar to its option with = (--lam=-g).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -37,8 +41,7 @@ from .arith import (AlgebraParams, InvalidParameters, derive_params, ord_pq,
                     smith_normal_form)
 from .cyclotomic import ConductorMismatch, CycNumber, zeta_power
 from .pbw import PbwElement, center_generators, generators, theta
-from .reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z, KIND_V1,
-                   KIND_V2, KIND_V3, MatrixRep, ModuleDescriptor,
+from .reps import (KIND_ONE_DIM, KIND_SCALARS, MatrixRep, ModuleDescriptor,
                    build_from_descriptor, classify, iso_test, span_dim,
                    verify_relations)
 
@@ -253,20 +256,11 @@ def _rep_table(rep: MatrixRep) -> list[str]:
 
 # --- descriptor options ------------------------------------------------------
 
-_KIND_SLOTS = {
-    KIND_V1: ("mu", "lam", "gamma"),
-    KIND_V2: ("mu", "lam"),
-    KIND_V3: ("lam",),
-    KIND_QPLANE_Z: ("mu", "gamma"),
-    KIND_QPLANE_THETA: ("mu", "lam"),
-    KIND_ONE_DIM: ("mu", "lam", "gamma"),
-}
-
-
 def _descriptor_from_options(kind: str, raw: dict[str, str | None],
                              params: AlgebraParams,
                              suffix: str = "") -> ModuleDescriptor:
-    slots = _KIND_SLOTS[kind]
+    cycle, _, weights = KIND_SCALARS[kind]
+    slots = {cycle, *weights}
     values = {}
     for slot in ("mu", "lam", "gamma"):
         text = raw[slot]
@@ -469,10 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("normal-form", "rewrite an expression into the ordered basis")
     _add_param_options(sp)
     sp.add_argument("expr", help="expression in x, y, z, theta, g "
-                                 "and rational literals")
+                                 "and rational literals; write one that "
+                                 "starts with a minus after --, as in "
+                                 "-- \"-x\"")
     sp = add("module-build", "matrices of a module from its descriptor")
     _add_param_options(sp)
-    sp.add_argument("--kind", required=True, choices=sorted(_KIND_SLOTS),
+    sp.add_argument("--kind", required=True, choices=sorted(KIND_SCALARS),
                     help="module family")
     _add_descriptor_options(sp)
     sp = add("module-verify", "check the defining relations on a module file")
@@ -487,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="module file produced by module-build")
     sp = add("iso", "decide isomorphism of two modules from descriptors")
     _add_param_options(sp)
-    sp.add_argument("--kind", required=True, choices=sorted(_KIND_SLOTS),
+    sp.add_argument("--kind", required=True, choices=sorted(KIND_SCALARS),
                     help="module family of both descriptors")
     _add_descriptor_options(sp)
     _add_descriptor_options(sp, suffix="2")
@@ -514,10 +510,18 @@ def main(argv=None) -> int:
             ZeroDivisionError, OverflowError) as exc:
         print(f"error: {_domain_message(exc)}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(lines))
+    try:
+        print(json.dumps(payload, indent=2) if args.format == "json"
+              else "\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at exit does not fail again on what is left in its buffer
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -229,11 +229,6 @@ class FieldMatrix:
         return n == m and all(row.keys() <= {i}
                               for i, row in enumerate(self._rows))
 
-    def scalar_value(self) -> CycNumber:
-        if not self.is_scalar():
-            raise ValueError("matrix is not scalar")
-        return self[0][0]
-
     def __str__(self) -> str:
         return "[" + ",\n ".join("[" + ", ".join(str(e) for e in row) + "]"
                                  for row in self.rows) + "]"
@@ -319,7 +314,7 @@ def is_invertible(mat: FieldMatrix) -> bool:
 
 def scalar_of(mat: FieldMatrix) -> CycNumber | None:
     """The scalar c if mat = c*identity, else None."""
-    return mat.scalar_value() if mat.is_scalar() else None
+    return mat[0][0] if mat.is_scalar() else None
 
 
 class SparseEchelon:

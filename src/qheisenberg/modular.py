@@ -188,29 +188,8 @@ def span_rank(mats) -> int | None:
     Full rank is d^2, which proves the exact span is the whole matrix
     algebra.
     """
-    reduced = _reduce_generators(mats)
-    if reduced is None:
-        return None
-    prime, d, gens = reduced
-    full = d * d
-    ech = _Echelon(prime)
-    ident = {i * d + i: 1 for i in range(d)}
-    ech.insert(dict(ident))
-    words = [ident]
-    for word in words:
-        for g in gens:
-            acc: dict = {}
-            for key, v in word.items():
-                base = key - key % d
-                for j, w in g[key % d].items():
-                    k = base + j
-                    acc[k] = acc.get(k, 0) + v * w
-            prod = {k: v % prime for k, v in acc.items() if v % prime}
-            if prod and ech.insert(dict(prod)):
-                if len(ech.pivots) == full:
-                    return full
-                words.append(prod)
-    return len(ech.pivots)
+    d = mats[0].shape[0] if mats else 0
+    return _spin(mats, {i * d + i: 1 for i in range(d)}, d * d)
 
 
 def spin_dim(mats, i: int) -> int | None:
@@ -223,23 +202,32 @@ def spin_dim(mats, i: int) -> int | None:
     only fall under reduction, so a spin of dimension d mod P proves that
     e_i spins to the whole space exactly; a shorter one proves nothing.
     """
+    return _spin(mats, {i: 1}, mats[0].shape[0] if mats else 0)
+
+
+def _spin(mats, seed: dict, full: int) -> int | None:
+    # Rank mod P of the images of seed under every word in the matrices,
+    # or None without a reduction.  Key r*d + c is entry c of row r, so a
+    # row vector is keys below d and a d x d matrix is d^2 keys, and a
+    # row times g is that row of the product.  The walk stops at rank full.
     reduced = _reduce_generators(mats)
     if reduced is None:
         return None
     prime, d, gens = reduced
     ech = _Echelon(prime)
-    ech.insert({i: 1})
-    vecs = [{i: 1}]
+    ech.insert(dict(seed))
+    vecs = [seed]
     for vec in vecs:
-        if len(ech.pivots) == d:
-            break
         for g in gens:
             acc: dict = {}
-            for t, v in vec.items():
-                for j, w in g[t].items():
-                    acc[j] = acc.get(j, 0) + v * w
-            image = {j: v % prime for j, v in acc.items() if v % prime}
+            for key, v in vec.items():
+                base = key - key % d
+                for j, w in g[key % d].items():
+                    acc[base + j] = acc.get(base + j, 0) + v * w
+            image = {k: v % prime for k, v in acc.items() if v % prime}
             if image and ech.insert(dict(image)):
+                if len(ech.pivots) == full:
+                    return full
                 vecs.append(image)
     return len(ech.pivots)
 

@@ -41,8 +41,20 @@ KIND_QPLANE_Z = "QPlaneZ"
 KIND_QPLANE_THETA = "QPlaneTheta"
 KIND_ONE_DIM = "OneDim"
 
-_KINDS = (KIND_V1, KIND_V2, KIND_V3, KIND_QPLANE_Z, KIND_QPLANE_THETA,
-          KIND_ONE_DIM)
+# The classification rule, one entry per kind: the slot of the cycle
+# scalar (or None), the params field whose power of it is central, and
+# each weight slot with the (a, b) of the p^a q^b it gains per shift of
+# the weight basis.  Two descriptors of one kind are isomorphic iff their
+# cycle scalars agree in that power and one shift moves every weight slot
+# of the first onto the second.
+KIND_SCALARS = {
+    KIND_V1: ("mu", "l", {"lam": (1, 0), "gamma": (0, -1)}),
+    KIND_V2: ("mu", "l", {"lam": (0, 0)}),
+    KIND_V3: (None, None, {"lam": (0, 0)}),
+    KIND_QPLANE_Z: ("mu", "n", {"gamma": (0, 1)}),
+    KIND_QPLANE_THETA: ("mu", "m", {"lam": (1, 0)}),
+    KIND_ONE_DIM: (None, None, {"mu": (0, 0), "lam": (0, 0), "gamma": (0, 0)}),
+}
 
 
 @dataclass(frozen=True)
@@ -87,7 +99,8 @@ class MatrixRep:
 class ModuleDescriptor:
     """A module family tag plus its defining scalars.
 
-    Slot conventions per kind (unused slots stay None):
+    Slot conventions per kind (unused slots stay None; `KIND_SCALARS`
+    lists each kind's slots and their part in isomorphism):
 
     * V1: mu (x cycle), lam (z weight base), gamma (theta weight base)
     * V2: mu (y cycle), lam (z weight base)
@@ -553,66 +566,33 @@ def _self_check(rep: MatrixRep, desc: ModuleDescriptor) -> ModuleDescriptor:
     return desc
 
 
-def _orbit_shift(base: CycNumber, target: CycNumber, step: CycNumber,
-                 count: int) -> int | None:
-    """Smallest k < count with target = step^k * base, or None."""
-    cur = base
-    for k in range(count):
-        if cur == target:
-            return k
-        cur = cur * step
-    return None
-
-
 def iso_test(kind: str, desc_a: ModuleDescriptor, desc_b: ModuleDescriptor,
              params: AlgebraParams) -> tuple[bool, int | None]:
     """Decide isomorphism of two same-kind modules from their scalars.
 
-    Returns (True, witness shift k) or (False, None).  For V1 the
-    witness satisfies lam_b = p^k lam_a and gamma_b = q^{-k} gamma_a;
-    the quantum-plane kinds use the analogous weight shift, and V2, V3,
-    OneDim admit only k = 0.
+    Returns (True, witness shift k) or (False, None), by the rule of
+    `KIND_SCALARS`: the cycle scalars must agree in their central power,
+    and k is the smallest shift, below that power's exponent (below 1
+    without a cycle), that multiplies every weight slot of desc_a by its
+    p^(ka) q^(kb) onto desc_b.  For V1, lam_b = p^k lam_a and
+    gamma_b = q^{-k} gamma_a; V2, V3 and OneDim admit only k = 0.
     """
     if desc_a.kind != kind or desc_b.kind != kind:
         raise ValueError("kind mismatch between descriptors")
-    p, q = params.p, params.q
-    l = params.l
-    if kind == KIND_V1:
-        if desc_a.mu ** l != desc_b.mu ** l:
+    if kind not in KIND_SCALARS:
+        raise ValueError(f"unknown descriptor kind {kind!r}")
+    cycle, central, weights = KIND_SCALARS[kind]
+    period = 1
+    if cycle is not None:
+        period = getattr(params, central)
+        if getattr(desc_a, cycle) ** period != getattr(desc_b, cycle) ** period:
             return False, None
-        k = _orbit_shift(desc_a.lam, desc_b.lam, p, l)
-        while k is not None:
-            if desc_b.gamma == params.power(0, -k) * desc_a.gamma:
-                return True, k
-            nxt = _orbit_shift(desc_a.lam * params.power(k + 1, 0), desc_b.lam,
-                               p, l - k - 1)
-            k = None if nxt is None else k + 1 + nxt
-        return False, None
-    if kind == KIND_V2:
-        if desc_a.mu ** l == desc_b.mu ** l and desc_a.lam == desc_b.lam:
-            return True, 0
-        return False, None
-    if kind == KIND_V3:
-        if desc_a.lam == desc_b.lam:
-            return True, 0
-        return False, None
-    if kind == KIND_QPLANE_Z:
-        n = params.n
-        if desc_a.mu ** n != desc_b.mu ** n:
-            return False, None
-        k = _orbit_shift(desc_a.gamma, desc_b.gamma, q, n)
-        return (True, k) if k is not None else (False, None)
-    if kind == KIND_QPLANE_THETA:
-        m = params.m
-        if desc_a.mu ** m != desc_b.mu ** m:
-            return False, None
-        k = _orbit_shift(desc_a.lam, desc_b.lam, p, m)
-        return (True, k) if k is not None else (False, None)
-    if kind == KIND_ONE_DIM:
-        same = (desc_a.mu == desc_b.mu and desc_a.lam == desc_b.lam
-                and desc_a.gamma == desc_b.gamma)
-        return (True, 0) if same else (False, None)
-    raise ValueError(f"unknown descriptor kind {kind!r}")
+    for k in range(period):
+        if all(getattr(desc_b, slot)
+               == params.power(k * a, k * b) * getattr(desc_a, slot)
+               for slot, (a, b) in weights.items()):
+            return True, k
+    return False, None
 
 
 def intertwiner(kind: str, desc_a: ModuleDescriptor,
@@ -620,9 +600,9 @@ def intertwiner(kind: str, desc_a: ModuleDescriptor,
                 params: AlgebraParams) -> FieldMatrix:
     """Explicit invertible P with M_a P = P M'_a for the witness k.
 
-    Realizes psi(v_i) = (mu^{-1} mu')^i v_{i-k} on the weight bases; the
-    result is verified exactly against both canonical builds before it
-    is returned.
+    Realizes psi(v_i) = (mu^{-1} mu')^i v_{i-k} on the weight bases, with
+    the ratio 1 for a kind without a cycle slot; the result is verified
+    exactly against both canonical builds before it is returned.
     """
     ok, _ = iso_test(kind, desc_a, desc_b, params)
     if not ok:
@@ -631,19 +611,16 @@ def intertwiner(kind: str, desc_a: ModuleDescriptor,
     rep_b = build_from_descriptor(params, desc_b)
     d = rep_a.d
     cond = params.conductor
-    if kind == KIND_ONE_DIM:
-        mat = FieldMatrix.identity(1, cond)
-    else:
-        if kind in (KIND_V3,):
-            ratio = CycNumber.one(cond)
-        else:
-            ratio = desc_a.mu.inverse() * desc_b.mu
-        entries = {}
-        cur = CycNumber.one(cond)
-        for i in range(d):
-            entries[(i, (i - k) % d)] = cur
-            cur = cur * ratio
-        mat = FieldMatrix.from_entries(d, d, entries, cond)
+    cycle, _, _ = KIND_SCALARS[kind]
+    ratio = CycNumber.one(cond)
+    if cycle is not None:
+        ratio = getattr(desc_a, cycle).inverse() * getattr(desc_b, cycle)
+    entries = {}
+    cur = CycNumber.one(cond)
+    for i in range(d):
+        entries[(i, (i - k) % d)] = cur
+        cur = cur * ratio
+    mat = FieldMatrix.from_entries(d, d, entries, cond)
     for a_mat, b_mat in ((rep_a.Mx, rep_b.Mx), (rep_a.My, rep_b.My),
                          (rep_a.Mz, rep_b.Mz)):
         if a_mat * mat != mat * b_mat:

@@ -1,6 +1,7 @@
 """Command-line interface tests: goldens, expression parsing, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -199,6 +200,36 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == (f"error: syntax error at byte {offset}: "
                                 f"nesting deeper than {MAX_NESTING}\n")
+
+    def test_leading_minus_expression_after_double_dash(self, capsys):
+        # without -- argparse reads "-x" as an option and asks for expr
+        x, _, _ = generators(P23)
+        assert main(["normal-form", "--m", "2", "--n", "3", "--", "-x"]) == 0
+        assert capsys.readouterr().out == json.dumps((-x).to_json(),
+                                                     indent=2) + "\n"
+
+    def test_leading_minus_scalar_joined_with_equals(self, capsys):
+        base = ["module-build", "--m", "2", "--n", "3", "--kind", "V3"]
+        assert main(base + ["--lam", "0-g"]) == 0
+        want = capsys.readouterr().out
+        assert main(base + ["--lam=-g"]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_closed_stdout_is_one_error_line(self):
+        # the read end is closed before the child writes, so its write and
+        # the flush at exit both meet a broken pipe
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qheisenberg.cli", "module-build",
+                 "--m", "2", "--n", "3", "--kind", "V3", "--lam", "-1"],
+                stdout=w, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(w)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
     def test_zero_scalar_is_domain_error(self, capsys):
         code = main(["module-build", "--m", "2", "--n", "3", "--kind", "V2",

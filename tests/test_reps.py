@@ -666,6 +666,82 @@ class TestIsoQPlaneAndErrors:
         assert len(basis) == 1
 
 
+def iso_cases(params, rng):
+    """Per kind: a descriptor, an isomorphic twin and a pair that is not.
+
+    The twin twists the cycle scalar by a root of unity whose order
+    divides the exponent of its central power (l for V1 and V2, n for
+    QPlaneZ, m for QPlaneTheta) and shifts the weights by a random k:
+    V1 by (p^k, q^-k), QPlaneZ by q^k and QPlaneTheta by p^k.  The third
+    descriptor doubles a weight (for OneDim the x scalar), which no shift
+    or twist undoes.  V2 is left out below ord(pq) = l, where the scalar
+    criterion is not sound (TestV2CriterionGap).
+    """
+    cond = params.conductor
+    mu, lam, gam = sample_scalars(params, rng, 3)
+    k = rng.randrange(params.l)
+
+    def twist(order):
+        return mu * zeta_power(cond, cond // order * rng.randrange(order))
+
+    zero = CycNumber.zero(cond)
+    cases = [
+        (ModuleDescriptor(KIND_V1, mu=mu, lam=lam, gamma=gam),
+         ModuleDescriptor(KIND_V1, mu=twist(params.l),
+                          lam=lam * params.power(k, 0),
+                          gamma=gam * params.power(0, -k)),
+         ModuleDescriptor(KIND_V1, mu=mu, lam=2 * lam, gamma=gam)),
+        (ModuleDescriptor(KIND_V3, lam=lam), ModuleDescriptor(KIND_V3, lam=lam),
+         ModuleDescriptor(KIND_V3, lam=2 * lam)),
+        (ModuleDescriptor(KIND_QPLANE_Z, mu=mu, gamma=gam),
+         ModuleDescriptor(KIND_QPLANE_Z, mu=twist(params.n),
+                          gamma=gam * params.power(0, k)),
+         ModuleDescriptor(KIND_QPLANE_Z, mu=mu, gamma=2 * gam)),
+        (ModuleDescriptor(KIND_QPLANE_THETA, mu=mu, lam=lam),
+         ModuleDescriptor(KIND_QPLANE_THETA, mu=twist(params.m),
+                          lam=lam * params.power(k, 0)),
+         ModuleDescriptor(KIND_QPLANE_THETA, mu=mu, lam=2 * lam)),
+        (ModuleDescriptor(KIND_ONE_DIM, mu=mu, lam=zero, gamma=zero),
+         ModuleDescriptor(KIND_ONE_DIM, mu=mu, lam=zero, gamma=zero),
+         ModuleDescriptor(KIND_ONE_DIM, mu=2 * mu, lam=zero, gamma=zero)),
+    ]
+    if ord_formula(params.m, params.n, params.k1, params.k2) == params.l:
+        cases.append((ModuleDescriptor(KIND_V2, mu=mu, lam=lam),
+                      ModuleDescriptor(KIND_V2, mu=twist(params.l), lam=lam),
+                      ModuleDescriptor(KIND_V2, mu=mu, lam=2 * lam)))
+    return cases
+
+
+class TestIsoProperty:
+    def test_property_iso_test_matches_exact_solver(self):
+        # iso_test decides from scalars alone; the exact hom solve of the
+        # two canonical builds must agree, the witness k must give the
+        # verified intertwiner, and no smaller shift may
+        rng = random.Random(43)
+        seen = set()
+        for params in all_params(8):
+            for a, twin_b, other in iso_cases(params, rng):
+                kind = a.kind
+                rep_a = build_from_descriptor(params, a)
+                for b, want in ((twin_b, True), (other, False)):
+                    where = (params.m, params.n, params.k1, params.k2, kind)
+                    ok, k = iso_test(kind, a, b, params)
+                    exact = find_intertwiner(
+                        rep_a, build_from_descriptor(params, b))
+                    assert ok == (exact is not None) == want, where
+                    if not ok:
+                        assert k is None, where
+                        continue
+                    seen.add((kind, k > 0))
+                    assert is_invertible(intertwiner(kind, a, b, k, params))
+                    for smaller in range(k):
+                        with pytest.raises(ValueError):
+                            intertwiner(kind, a, b, smaller, params)
+        # every shifting kind met a witness above 0
+        assert {(KIND_V1, True), (KIND_QPLANE_Z, True),
+                (KIND_QPLANE_THETA, True)} <= seen
+
+
 class TestSerialization:
     def test_matrix_rep_round_trip(self):
         rep = build_v2(P44, zeta_power(4, 1), 2)
