@@ -486,6 +486,29 @@ def _normalised(conductor: int, num, den: int) -> CycNumber:
     return _raw(conductor, tuple(num), den)
 
 
+def _sub_mul(c: CycNumber, a: CycNumber, b: CycNumber) -> CycNumber:
+    # c - a*b over one conductor with a single normalisation, where
+    # c - (a * b) would take one gcd for the product and one for the
+    # difference; it is the update of exact elimination's inner loop
+    an, bn = a.num, b.num
+    k = len(an)
+    za, zb = an.count(0), bn.count(0)
+    if za == k or zb == k:
+        return c
+    conductor = c.conductor
+    if zb == k - 1 and bn[0]:
+        prod = [bn[0] * x for x in an]
+    elif za == k - 1 and an[0]:
+        prod = [an[0] * y for y in bn]
+    else:
+        prod = _mul_reduced(conductor, an, bn)
+    cn, dc, dab = c.num, c.den, a.den * b.den
+    if dc == dab:
+        return _normalised(conductor, [x - y for x, y in zip(cn, prod)], dc)
+    return _normalised(conductor, [x * dab - y * dc for x, y in zip(cn, prod)],
+                       dc * dab)
+
+
 def zeta_power(conductor: int, exponent: int) -> CycNumber:
     """zeta_N^j as a reduced element of Q(zeta_N).
 

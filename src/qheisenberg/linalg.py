@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import modular
-from .cyclotomic import CycNumber, _check_json_int, euler_phi
+from .cyclotomic import CycNumber, _check_json_int, _sub_mul, euler_phi
 
 
 class FieldMatrix:
@@ -324,7 +324,8 @@ class SparseEchelon:
     lead-normalised: each pivot row is stored under its lead, its
     smallest index, where its entry is exactly 1, and all its other
     entries sit at larger indices.  Reducing a vector subtracts a * row
-    for each pivot lead it meets, and an admitted remainder is divided
+    for each pivot lead it meets, with one normalisation per entry
+    update (`cyclotomic._sub_mul`), and an admitted remainder is divided
     by its lead, so one field inversion is paid per admitted row.  Each
     entry of a pivot row is then a ratio of two minors of the admitted
     vectors, so on a dense basis the entries stay near minor size.
@@ -354,7 +355,7 @@ class SparseEchelon:
                 if cur is None:
                     vec[idx] = -(a * rv)
                 else:
-                    nv = cur - a * rv
+                    nv = _sub_mul(cur, a, rv)
                     if nv.is_zero():
                         del vec[idx]
                     else:

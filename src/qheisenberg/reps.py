@@ -59,7 +59,14 @@ KIND_SCALARS = {
 
 @dataclass(frozen=True)
 class MatrixRep:
-    """A concrete module: dimension plus the three generator matrices."""
+    """A concrete module: dimension plus the three generator matrices.
+
+    The object is immutable, so what is derived from it (the theta
+    matrix, a passing relation check, the certified span) is kept under
+    private keys of its `__dict__` and can never go stale.  Those keys
+    take no part in equality, hashing, repr or `to_json`, and
+    `dataclasses.replace` gives an object without them.
+    """
 
     params: AlgebraParams
     d: int
@@ -279,21 +286,56 @@ def verify_relations(rep: MatrixRep) -> RelationCheck:
 
     Keys: "zx" for Mz Mx - p^{-1} Mx Mz, "zy" for Mz My - p My Mz,
     "yx" for My Mx - q Mx My - Mz.  ok is True iff all three vanish.
+    The two sides of each relation are compared before they are
+    subtracted, so a relation that holds costs its products and no
+    subtraction.  The products My Mx and Mx My also give the theta
+    matrix, which is kept for `theta_matrix`.
+
+    A passing verdict is kept on the module object: a later call forms
+    no product and returns a fresh result whose residuals are zero
+    matrices.  A failing module is checked again on every call.
     """
     params = rep.params
+    if rep.__dict__.get("_relations_ok"):
+        return RelationCheck(ok=True, residuals={
+            key: FieldMatrix.zeros(rep.d, rep.d, params.conductor)
+            for key in ("zx", "zy", "yx")})
     mx, my, mz = rep.Mx, rep.My, rep.Mz
+    yx, xy = my * mx, mx * my
     residuals = {
-        "zx": mz * mx - (mx * mz).scale(params.power(-1, 0)),
-        "zy": mz * my - (my * mz).scale(params.p),
-        "yx": my * mx - (mx * my).scale(params.q) - mz,
+        "zx": _residual(mz * mx, (mx * mz).scale(params.power(-1, 0))),
+        "zy": _residual(mz * my, (my * mz).scale(params.p)),
+        "yx": _residual(yx, xy.scale(params.q) + mz),
     }
+    if "_theta" not in rep.__dict__:
+        rep.__dict__["_theta"] = _theta(rep, yx, xy)
     ok = all(r.is_zero() for r in residuals.values())
+    if ok:
+        rep.__dict__["_relations_ok"] = True
     return RelationCheck(ok=ok, residuals=residuals)
 
 
+def _residual(lhs: FieldMatrix, rhs: FieldMatrix) -> FieldMatrix:
+    if lhs == rhs:
+        return FieldMatrix.zeros(*lhs.shape, lhs.conductor)
+    return lhs - rhs
+
+
 def theta_matrix(rep: MatrixRep) -> FieldMatrix:
-    """Matrix of theta = yx - p^{-1}xy in the given module."""
-    return rep.My * rep.Mx - (rep.Mx * rep.My).scale(rep.params.power(-1, 0))
+    """Matrix of theta = yx - p^{-1}xy in the given module.
+
+    Formed once per module object, from the products of
+    `verify_relations` when a check has run, and returned from then on.
+    """
+    th = rep.__dict__.get("_theta")
+    if th is None:
+        th = rep.__dict__["_theta"] = _theta(rep, rep.My * rep.Mx,
+                                             rep.Mx * rep.My)
+    return th
+
+
+def _theta(rep: MatrixRep, yx: FieldMatrix, xy: FieldMatrix) -> FieldMatrix:
+    return yx - xy.scale(rep.params.power(-1, 0))
 
 
 def is_simple(rep: MatrixRep) -> bool:
@@ -324,13 +366,23 @@ def span_dim(rep: MatrixRep) -> int:
 
     Otherwise the exact span of `algebra_span_dim` is the value.  No answer
     is read from a short rank or spin mod P; the relations are not checked.
+    The outcome of this ladder is computed once per module object and
+    shared with `is_simple`; the exact span that follows a submodule found
+    by a spin is computed again on every call.
     """
     span = _certified_span(rep)
     return algebra_span_dim([rep.Mx, rep.My, rep.Mz]) if span is None else span
 
 
 def _certified_span(rep: MatrixRep) -> int | None:
-    # d^2 if certified simple, None if a spin finds a submodule, else the span
+    # d^2 if certified simple, None if a spin finds a submodule, else the
+    # span; kept on the module object, which never changes
+    if "_span" not in rep.__dict__:
+        rep.__dict__["_span"] = _certify_span(rep)
+    return rep.__dict__["_span"]
+
+
+def _certify_span(rep: MatrixRep) -> int | None:
     d = rep.d
     gens = [rep.Mx, rep.My, rep.Mz]
     certified = weight_certificate(rep)

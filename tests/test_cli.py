@@ -1,13 +1,17 @@
 """Command-line interface tests: goldens, expression parsing, exit codes."""
 
+import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qheisenberg import cli
 from qheisenberg.arith import derive_params
@@ -15,6 +19,7 @@ from qheisenberg.cli import (MAX_NESTING, ExprError, build_parser, main,
                              parse_expression, parse_scalar)
 from qheisenberg.cyclotomic import CycNumber, zeta_power
 from qheisenberg.pbw import PbwElement, generators, product, theta
+from qheisenberg.reps import KIND_SCALARS
 
 from golden_cases import GOLDEN_CASES, expected_output, run_case
 
@@ -523,8 +528,6 @@ class TestTableFormat:
         assert capsys.readouterr().out == "isomorphic: true\nk: 0\n"
 
     def test_verify_table(self, tmp_path, capsys):
-        import io
-        from contextlib import redirect_stdout
         buf = io.StringIO()
         with redirect_stdout(buf):
             assert main(["module-build", "--m", "2", "--n", "3",
@@ -562,3 +565,65 @@ class TestTableFormat:
         finally:
             cli._shared_parser.cache_clear()
         assert len(built) == 1
+
+
+# --- fuzzing: every input ends in an exit code, never a traceback ------------
+
+_FUZZ_TOKENS = list("xyzg0123456789^*+-() ") + ["theta"]
+_FUZZ_TEXT = st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=12).map(
+    lambda parts: "".join(parts)[:12])
+_FUZZ_SECONDS = 2
+
+
+class _Hang(Exception):
+    pass
+
+
+def _run_main_with_watchdog(argv):
+    """main(argv) -> (exit code, stderr); _Hang past _FUZZ_SECONDS."""
+    def expire(signum, frame):
+        raise _Hang(f"main({argv!r}) ran past {_FUZZ_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, _FUZZ_SECONDS)
+    err = io.StringIO()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(argv):
+    code, err = _run_main_with_watchdog(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 1:
+        assert err.startswith("error: "), (argv, err)
+
+
+_FUZZ_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+class TestFuzz:
+    """Short random text through cli.main: exit 0, 1 or 2 and no traceback."""
+
+    @_FUZZ_SETTINGS
+    @given(expr=_FUZZ_TEXT, pair=st.sampled_from([(2, 3), (3, 2), (1, 4)]),
+           dashes=st.booleans())
+    def test_normal_form_expressions(self, expr, pair, dashes):
+        argv = ["normal-form", "--m", str(pair[0]), "--n", str(pair[1])]
+        _assert_clean_exit(argv + (["--", expr] if dashes else [expr]))
+
+    @_FUZZ_SETTINGS
+    @given(kind=st.sampled_from(sorted(KIND_SCALARS)), mu=_FUZZ_TEXT,
+           lam=_FUZZ_TEXT, gamma=_FUZZ_TEXT)
+    def test_module_build_scalars(self, kind, mu, lam, gamma):
+        argv = ["module-build", "--m", "2", "--n", "3", "--kind", kind]
+        cycle, _, weights = KIND_SCALARS[kind]
+        for slot, text in (("mu", mu), ("lam", lam), ("gamma", gamma)):
+            if slot == cycle or slot in weights:
+                argv.append(f"--{slot}={text}")
+        _assert_clean_exit(argv)

@@ -22,7 +22,7 @@ from qheisenberg.cyclotomic import (
     roots_of_unity,
     zeta_power,
 )
-from qheisenberg.cyclotomic import _integer_nth_root, _parse_coord
+from qheisenberg.cyclotomic import _integer_nth_root, _parse_coord, _sub_mul
 
 
 def test_cyclotomic_polynomial_small_values():
@@ -325,6 +325,21 @@ def test_property_ring_operations_match_sympy(pair):
                       (-a, -pa), (a * 3, pa * 3), (Fraction(2, 5) - a, Fraction(2, 5) - pa)):
         _assert_normalised(got)
         assert _poly(got) == want.rem(phi)
+
+
+@_PROPERTY_SETTINGS
+@given(_pair(), _COORD)
+def test_property_sub_mul_matches_sympy(pair, rational):
+    # the fused update c - a*b of exact elimination, with a rational
+    # factor on either side and a zero c among the draws
+    a, b = pair
+    phi = _phi(a.conductor)
+    r = CycNumber.from_rational(a.conductor, rational)
+    for c, x, y in ((a, b, a), (b, a, r), (a, r, b), (r, a, b), (r, r, r)):
+        got = _sub_mul(c, x, y)
+        _assert_normalised(got)
+        assert got == c - x * y
+        assert _poly(got) == (_poly(c) - _poly(x) * _poly(y)).rem(phi)
 
 
 @_PROPERTY_SETTINGS

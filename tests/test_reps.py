@@ -1,5 +1,6 @@
 """Module builders, simplicity, classification, and isomorphism tests."""
 
+import dataclasses
 import functools
 import os
 import random
@@ -157,6 +158,139 @@ class TestBuilders:
     def test_direct_sum_params_mismatch(self):
         with pytest.raises(ValueError):
             direct_sum(build_v3(P44, 1), build_v3(P24, 1))
+
+
+def count_products(monkeypatch, keep=lambda a, b: True):
+    """Record the matrix products a * b that pass keep."""
+    calls = []
+    inner = FieldMatrix._matmul
+
+    def counted(a, b):
+        if keep(a, b):
+            calls.append((a, b))
+        return inner(a, b)
+
+    monkeypatch.setattr(FieldMatrix, "_matmul", counted)
+    return calls
+
+
+def perturbed(rep):
+    """rep with Mx[0][0] raised by one: the "yx" relation fails."""
+    return MatrixRep(rep.params, rep.d,
+                     rep.Mx + FieldMatrix.from_entries(
+                         rep.d, rep.d, {(0, 0): 1}, rep.params.conductor),
+                     rep.My, rep.Mz)
+
+
+def fresh(rep):
+    return MatrixRep(rep.params, rep.d, rep.Mx, rep.My, rep.Mz)
+
+
+def module_answers(rep):
+    check = verify_relations(rep)
+    try:
+        simple = is_simple(rep)
+    except ValueError as exc:
+        simple = str(exc)
+    return (check.ok, check.residuals, theta_matrix(rep), simple,
+            span_dim(rep))
+
+
+class TestModuleMemo:
+    """Theta, a passing relation check and the certified span, per object."""
+
+    def test_theta_is_formed_once(self):
+        rep = build_v1(P23, 2, 3, 5)
+        assert theta_matrix(rep) is theta_matrix(rep)
+
+    def test_relations_and_theta_share_products(self, monkeypatch):
+        v1 = build_v1(P44, 2, 3, 5)
+        products = count_products(monkeypatch)
+        assert verify_relations(v1).ok
+        theta_matrix(v1)
+        assert len(products) <= 6
+        del products[:]
+        check = verify_relations(v1)
+        assert products == []
+        assert check.ok and set(check.residuals) == {"zx", "zy", "yx"}
+        assert all(r.is_zero() and r.shape == (v1.d, v1.d)
+                   for r in check.residuals.values())
+
+    def test_failing_check_is_recomputed(self):
+        broken = perturbed(build_v1(P44, 1, 1, 2))
+        first = verify_relations(broken)
+        second = verify_relations(broken)
+        assert not first.ok and not second.ok
+        assert not first.residuals["yx"].is_zero()
+        assert first.residuals["yx"] == second.residuals["yx"]
+        first.residuals.clear()
+        assert not verify_relations(broken).residuals["yx"].is_zero()
+        assert set(second.residuals) == {"zx", "zy", "yx"}
+
+    def test_replace_starts_without_memo(self):
+        rep = build_v1(P44, 1, 1, 2)
+        assert verify_relations(rep).ok
+        assert is_simple(rep)
+        other = dataclasses.replace(rep, Mx=perturbed(rep).Mx)
+        assert not verify_relations(other).ok
+        assert theta_matrix(other) != theta_matrix(rep)
+        with pytest.raises(ValueError, match="relation check failed"):
+            is_simple(other)
+
+    def test_memo_is_invisible(self):
+        rep = build_v2(P23, 2, 3)
+        before = (repr(rep), hash(rep), rep.to_json())
+        classify(rep)
+        span_dim(rep)
+        assert (repr(rep), hash(rep), rep.to_json()) == before
+        assert rep == fresh(rep) and hash(rep) == hash(fresh(rep))
+
+    def test_classify_forms_theta_once(self, monkeypatch):
+        # theta of the input is My Mx minus a multiple of Mx My, and every
+        # path that forms it multiplies My by Mx
+        rep = build_v1(P23, 2, 3, 5)
+        products = count_products(monkeypatch,
+                                  lambda a, b: a is rep.My and b is rep.Mx)
+        assert classify(rep).kind == KIND_V1
+        assert len(products) == 1
+
+    def test_certificate_runs_once_per_module(self, monkeypatch):
+        rep = build_v1(P23, 2, 3, 5)
+        calls = []
+
+        def counted(r):
+            calls.append(r)
+            return weight_certificate(r)
+
+        monkeypatch.setattr("qheisenberg.reps.weight_certificate", counted)
+        assert is_simple(rep)
+        classify(rep)
+        assert span_dim(rep) == rep.d ** 2
+        assert len(calls) == 1
+        classify(fresh(rep))
+        assert len(calls) == 2
+
+    def test_warm_answers_match_fresh_object(self):
+        # builders of every kind with l <= 8, integer conjugates with
+        # d <= 8 and perturbed modules: the answers on an object whose
+        # memo is warm (theta, the span or the relation check asked
+        # first) are the answers on a fresh object with the same matrices
+        rng = random.Random(14)
+        cases = []
+        for params in rng.sample(all_params(8), 12):
+            mods = families(params, rng)
+            mods.append(build_one_dim(params, *sample_scalars(params, rng, 1),
+                                      0, 0))
+            cases += mods + [perturbed(mods[0]), perturbed(mods[1])]
+        assert sum(not verify_relations(fresh(rep)).ok for rep in cases) == 24
+        cases += [integer_conjugate(build_v1(params, 2, 3, 5), rng)
+                  for params in (P23, P24, derive_params(2, 8))]
+        cases.append(integer_conjugate(build_v3(P44, 3), rng))
+        for i, rep in enumerate(cases):
+            (theta_matrix, span_dim, verify_relations)[i % 3](rep)
+            warm = module_answers(rep)
+            assert module_answers(rep) == warm
+            assert module_answers(fresh(rep)) == warm
 
 
 class TestSimplicity:
