@@ -483,16 +483,17 @@ def matrix_hom_space(mats_a: list[FieldMatrix],
     all d_a * d_b unknowns.
 
     Otherwise (no such g, or weights that rule out no unknown, as for a
-    dense basis with z = 0) `modular.hom_pivots` picks the equations that
-    are independent mod a prime.  If all d_a * d_b unknowns get a pivot
-    there, only P = 0 solves the system, and [] is returned without
-    exact elimination.  Otherwise only the picked equations, built one at
-    a time, go into the exact echelon.  They are independent exactly too,
-    but with an unlucky prime they span less than the whole system, so
-    every kernel matrix is checked exactly against A_g P = P B_g.  If a
-    check fails, or no reduction mod the prime exists, every equation is
-    inserted.  The kernel basis depends only on the row space of the
-    inserted equations, so the answer does not depend on the prime.
+    dense basis with z = 0 or for d_a = d_b = 1) the equations are built
+    one at a time, in (g, i, j) order, and `modular.independent` picks
+    those that are independent mod a prime.  If d_a * d_b of them are,
+    only P = 0 solves the system, and [] is returned without exact
+    elimination.  Otherwise only the picked equations go into the exact
+    echelon.  They are independent exactly too, but with an unlucky prime
+    they span less than the whole system, so every kernel matrix is
+    checked exactly against A_g P = P B_g.  If a check fails, or no
+    reduction mod the prime exists, every equation is inserted.  The
+    kernel basis depends only on the row space of the inserted equations,
+    so the answer does not depend on the prime.
     """
     if len(mats_a) != len(mats_b):
         raise ValueError("generator lists differ in length")
@@ -546,15 +547,17 @@ def matrix_hom_space(mats_a: list[FieldMatrix],
             ech.insert({k: v for k, v in equation(*pos).items() if k in inside})
         return kernel(support)
 
-    pivots = modular.hom_pivots(mats_a, mats_b)
-    if pivots is not None and len(pivots) == da * db:
+    positions = list(product(range(len(mats_a)), range(da), range(db)))
+    picked = modular.independent((equation(*pos) for pos in positions),
+                                 conductor, da * db)
+    if picked is not None and len(picked) == da * db:
         return []
-    if pivots is not None:
-        for pos in pivots:
-            ech.insert(equation(*pos))
+    if picked is not None:
+        for k in picked:
+            ech.insert(equation(*positions[k]))
         basis = kernel(unknowns)
         if all(a * x == x * b for x in basis for a, b in zip(mats_a, mats_b)):
             return basis
-    for pos in product(range(len(mats_a)), range(da), range(db)):
+    for pos in positions:
         ech.insert(equation(*pos))
     return kernel(unknowns)

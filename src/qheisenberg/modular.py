@@ -9,16 +9,16 @@ only fall under that map: every minor that vanishes exactly vanishes mod
 P.  So a full rank mod P proves a full exact rank, while a short rank
 mod P proves nothing.
 
-`rank`, `span_rank` and `spin_dim` return a rank mod P; `hom_pivots`
-returns the positions of the hom-space equations that are independent
-mod P, which are independent exactly too.  Each returns None when some
-entry has a denominator divisible by P (or the matrices do not fit
+`independent` returns the positions of the sparse exact rows that are
+independent mod P, which are independent exactly too; `rank`,
+`span_rank` and `spin_dim` return a rank mod P.  Each returns None when
+some entry has a denominator divisible by P (or the matrices do not fit
 together) and so no reduction exists.  Callers read an answer from
 modular data alone only when the rank is full.  Otherwise they compute
-the exact answer: `linalg.matrix_hom_space` solves exactly from the
-admitted equations, verifies every kernel matrix exactly, and inserts
-every equation when a check fails.  The prime and w are found once per
-conductor, on first use.
+the exact answer: `linalg.matrix_hom_space` passes its intertwining
+equations to `independent`, solves exactly from the admitted ones,
+verifies every kernel matrix exactly, and inserts every equation when a
+check fails.  The prime and w are found once per conductor, on first use.
 
 `spin_dim` serves Norton's irreducibility test (`reps.weight_certificate`).
 If some theta in the algebra has ker theta = ker theta^T = K e_i, one
@@ -91,22 +91,26 @@ def _field(conductor: int) -> tuple[int, tuple[int, ...]]:
     return prime, tuple(powers)
 
 
-def _reduce_matrix(mat, prime: int, powers: tuple[int, ...]) -> list[dict]:
-    # one {col: nonzero residue} dict per row of a FieldMatrix
-    out = []
-    for row in mat._rows:
+def _reduce(rows, prime: int, powers: tuple[int, ...]):
+    # each sparse exact row {index: CycNumber} as {index: nonzero residue},
+    # lazily; each distinct entry is reduced once.  The rows share one
+    # conductor, so (num, den) identifies an entry.  Raises _NoReduction.
+    residues: dict = {}
+    for row in rows:
         red = {}
-        for j, e in row.items():
-            v = sum(x * wi for x, wi in zip(e.num, powers))
-            if e.den != 1:
-                if e.den % prime == 0:
-                    raise _NoReduction
-                v *= pow(e.den, -1, prime)
-            v %= prime
+        for k, e in row.items():
+            key = (e.num, e.den)
+            v = residues.get(key)
+            if v is None:
+                v = sum(x * wi for x, wi in zip(e.num, powers))
+                if e.den != 1:
+                    if e.den % prime == 0:
+                        raise _NoReduction
+                    v *= pow(e.den, -1, prime)
+                v = residues[key] = v % prime
             if v:
-                red[j] = v
-        out.append(red)
-    return out
+                red[k] = v
+        yield red
 
 
 def _reduce_generators(mats) -> tuple[int, int, list] | None:
@@ -119,7 +123,7 @@ def _reduce_generators(mats) -> tuple[int, int, list] | None:
         return None
     prime, powers = _field(conductor)
     try:
-        return prime, d, [_reduce_matrix(g, prime, powers) for g in mats]
+        return prime, d, [list(_reduce(g._rows, prime, powers)) for g in mats]
     except _NoReduction:
         return None
 
@@ -166,18 +170,35 @@ class _Echelon:
         return False
 
 
-def rank(mat) -> int | None:
-    """Rank mod P of a FieldMatrix, or None without a reduction."""
-    prime, powers = _field(mat.conductor)
+def independent(rows, conductor: int, full: int | None = None) -> list[int] | None:
+    """The positions of the rows that are independent mod P, in order.
+
+    rows is any iterable of sparse exact rows {index: CycNumber} over
+    Q(zeta_conductor), whose indices are mutually comparable.  They are
+    reduced mod P and offered in order to one F_P echelon, and the
+    positions (0, 1, ...) of the rows it admits are returned; the walk
+    stops once `full` rows are admitted.  Rows independent mod P are
+    independent exactly, so `full` positions prove a full rank.  None
+    when an entry met on the walk has a denominator divisible by P.
+    """
+    prime, powers = _field(conductor)
+    ech = _Echelon(prime)
+    admitted: list[int] = []
     try:
-        rows = _reduce_matrix(mat, prime, powers)
+        for pos, vec in enumerate(_reduce(rows, prime, powers)):
+            if vec and ech.insert(vec):
+                admitted.append(pos)
+                if len(admitted) == full:
+                    break
     except _NoReduction:
         return None
-    ech = _Echelon(prime)
-    for row in rows:
-        if row:
-            ech.insert(row)
-    return len(ech.pivots)
+    return admitted
+
+
+def rank(mat) -> int | None:
+    """Rank mod P of a FieldMatrix, or None without a reduction."""
+    rows = independent(mat._rows, mat.conductor)
+    return None if rows is None else len(rows)
 
 
 def span_rank(mats) -> int | None:
@@ -230,49 +251,3 @@ def _spin(mats, seed: dict, full: int) -> int | None:
                     return full
                 vecs.append(image)
     return len(ech.pivots)
-
-
-def hom_pivots(mats_a, mats_b) -> list[tuple[int, int, int]] | None:
-    """The equations A_g X = X B_g that are independent mod P, by position.
-
-    X runs over d_a x d_b matrices.  Equation (g, i, j) says that entry
-    (i, j) of A_g X - X B_g vanishes.  The equations are walked in that
-    order, g first, and the positions whose reduction the F_P echelon
-    admits are returned in order; the walk stops once d_a * d_b are
-    admitted.  Equations independent mod P are independent exactly, so
-    d_a * d_b positions prove that only X = 0 solves them, and fewer
-    positions prove nothing.
-    """
-    if (len(mats_a) != len(mats_b) or not mats_a
-            or mats_a[0].conductor != mats_b[0].conductor):
-        return None
-    red_a = _reduce_generators(mats_a)
-    red_b = _reduce_generators(mats_b)
-    if red_a is None or red_b is None:
-        return None
-    prime, da, gens_a = red_a
-    _, db, gens_b = red_b
-    full = da * db
-    ech = _Echelon(prime)
-    admitted: list[tuple[int, int, int]] = []
-    for g, (a_rows, b_rows) in enumerate(zip(gens_a, gens_b)):
-        b_cols: list[dict] = [{} for _ in range(db)]
-        for t, row in enumerate(b_rows):
-            for j, v in row.items():
-                b_cols[j][t] = v
-        for i, a_row in enumerate(a_rows):
-            for j, b_col in enumerate(b_cols):
-                # (A X)[i][j] - (X B)[i][j] in the unknowns X[t][s] -> t*db + s
-                eq = {t * db + j: v for t, v in a_row.items()}
-                for t, v in b_col.items():
-                    k = i * db + t
-                    x = (eq.get(k, 0) - v) % prime
-                    if x:
-                        eq[k] = x
-                    else:
-                        eq.pop(k, None)
-                if eq and ech.insert(eq):
-                    admitted.append((g, i, j))
-                    if len(admitted) == full:
-                        return admitted
-    return admitted

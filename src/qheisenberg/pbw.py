@@ -19,12 +19,22 @@ zeta table by its exponent (`AlgebraParams.power`).
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from fractions import Fraction
 
 from .arith import AlgebraParams, ord_formula
 from .cyclotomic import CycNumber
 
 DEGREE_CAP = 10 ** 6
+
+# Limits on each product a power forms (PbwElement.__pow__), checked before
+# the product is taken.  POWER_PAIR_CAP bounds its term pairs, each counted
+# once per term its reordering y^k1 x^j2 can yield (1 + min(k1 mod ord(pq),
+# j2), see `_yk_xj`); POWER_BITS_CAP bounds the bits of a coefficient,
+# estimated as the sum of the operands' largest.  On a 2-vCPU x86-64 box a
+# product at the pair cap takes about 1 s; (1+x)^500 reaches 62,965 pairs.
+POWER_PAIR_CAP = 1 << 16
+POWER_BITS_CAP = 1 << 16
 
 _Triple = tuple[int, int, int]
 
@@ -146,8 +156,8 @@ class PbwElement:
         base = self
         while e:
             if e & 1:
-                result = product(result, base)
-            base = product(base, base) if e > 1 else base
+                result = _power_step(result, base)
+            base = _power_step(base, base) if e > 1 else base
             e >>= 1
         return result
 
@@ -278,6 +288,33 @@ def product(a: PbwElement, b: PbwElement) -> PbwElement:
                 key = (i1 + i2 + ai, j1 + bj, ck + k2)
                 out[key] = out.get(key, zero) + base * cf * params.power(j1 * ai, 0)
     return PbwElement(params, out)
+
+
+def _power_step(a: PbwElement, b: PbwElement) -> PbwElement:
+    # product(a, b), or OverflowError past POWER_PAIR_CAP or POWER_BITS_CAP
+    p = a.params
+    # a pair yields at most ord(pq) <= l terms, so most products need no count
+    if len(a.terms) * len(b.terms) * p.l > POWER_PAIR_CAP:
+        o = ord_formula(p.m, p.n, p.k1, p.k2)
+        ks = Counter(k % o for _, _, k in a.terms)
+        js = Counter(j for _, j, _ in b.terms)
+        pairs = sum(ca * cb * (1 + min(k, j))
+                    for k, ca in ks.items() for j, cb in js.items())
+        if pairs > POWER_PAIR_CAP:
+            raise OverflowError(f"power too large: a product of {pairs} term "
+                                f"pairs passes POWER_PAIR_CAP = {POWER_PAIR_CAP}")
+    bits = _coeff_bits(a)
+    bits += bits if a is b else _coeff_bits(b)
+    if bits > POWER_BITS_CAP:
+        raise OverflowError(f"power too large: {bits}-bit coefficients "
+                            f"pass POWER_BITS_CAP = {POWER_BITS_CAP}")
+    return product(a, b)
+
+
+def _coeff_bits(elem: PbwElement) -> int:
+    # the bit length of the largest numerator or denominator in elem
+    return max(max(c.den, max(c.num), -min(c.num))
+               for c in elem.terms.values()).bit_length()
 
 
 _RANK = {"z": 0, "x": 1, "y": 2}

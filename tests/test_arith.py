@@ -10,9 +10,11 @@ from itertools import combinations
 
 import pytest
 
+from qheisenberg import arith
 from qheisenberg.arith import (
     ALWAYS_MAX,
     ALWAYS_NONMAX,
+    MAX_CONDUCTOR,
     MIXED,
     InvalidParameters,
     classify_pair,
@@ -103,6 +105,18 @@ def test_derive_params_larger_conductor():
     assert ps.p == zeta_power(12, 6) and ps.q == zeta_power(12, 4)
     with pytest.raises(InvalidParameters):
         derive_params(2, 3, 1, 1, conductor=8)
+
+
+def test_derive_params_conductor_limit(monkeypatch):
+    assert derive_params(8, 25).conductor == MAX_CONDUCTOR == 200
+    assert derive_params(2, 3, 1, 1, conductor=198).conductor == 198
+    # refused before any pair is listed or any table of the field is built
+    for name in ("valid_pairs", "_derive"):
+        monkeypatch.setattr(arith, name, lambda *args, name=name: pytest.fail(name))
+    with pytest.raises(InvalidParameters, match="MAX_CONDUCTOR = 200"):
+        derive_params(1000003, 2)
+    with pytest.raises(InvalidParameters, match="conductor 204 exceeds"):
+        derive_params(2, 3, 1, 1, conductor=204)
 
 
 def test_relation_matrix_anchor():

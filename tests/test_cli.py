@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qheisenberg import cli
 from qheisenberg.arith import derive_params
@@ -256,6 +256,17 @@ class TestExitCodes:
         assert main(["order", "--m", "4", "--n", "4",
                      "--k1", "1", "--k2", "3"]) == 1
         assert capsys.readouterr().out == ""
+
+    def test_conductor_beyond_limit_is_domain_error(self, capsys):
+        # refused before any table of the field is built: l = 2000006
+        # would need a zeta table of l * phi(l) > 10^12 integers
+        code, err = _run_main_with_watchdog(["order", "--m", "1000003",
+                                             "--n", "2"])
+        assert code == 1
+        assert err == ("error: conductor 2000006 exceeds the limit "
+                       "MAX_CONDUCTOR = 200\n")
+        assert main(["order", "--m", "8", "--n", "25"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"ord_pq": 200}
 
     def test_malformed_module_file_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -606,6 +617,10 @@ def _assert_clean_exit(argv):
 
 _FUZZ_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
+# powers that ran past the watchdog before each product of `^` was bounded
+_POWERS_BEYOND_CAPS = ["(x+y)^200", "(x+y)^99999", "theta^99999",
+                       "(1+x)^9999", "9^99999999"]
+
 
 class TestFuzz:
     """Short random text through cli.main: exit 0, 1 or 2 and no traceback."""
@@ -613,9 +628,22 @@ class TestFuzz:
     @_FUZZ_SETTINGS
     @given(expr=_FUZZ_TEXT, pair=st.sampled_from([(2, 3), (3, 2), (1, 4)]),
            dashes=st.booleans())
+    @example(expr=_POWERS_BEYOND_CAPS[0], pair=(2, 3), dashes=False)
+    @example(expr=_POWERS_BEYOND_CAPS[1], pair=(2, 3), dashes=False)
+    @example(expr=_POWERS_BEYOND_CAPS[2], pair=(2, 3), dashes=False)
+    @example(expr=_POWERS_BEYOND_CAPS[3], pair=(2, 3), dashes=False)
+    @example(expr=_POWERS_BEYOND_CAPS[4], pair=(2, 3), dashes=False)
     def test_normal_form_expressions(self, expr, pair, dashes):
         argv = ["normal-form", "--m", str(pair[0]), "--n", str(pair[1])]
         _assert_clean_exit(argv + (["--", expr] if dashes else [expr]))
+
+    @pytest.mark.parametrize("expr", _POWERS_BEYOND_CAPS)
+    def test_power_beyond_caps_is_one_error_line(self, expr):
+        code, err = _run_main_with_watchdog(
+            ["normal-form", "--m", "2", "--n", "3", expr])
+        assert code == 1
+        assert err.startswith("error: power too large: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @_FUZZ_SETTINGS
     @given(kind=st.sampled_from(sorted(KIND_SCALARS)), mu=_FUZZ_TEXT,

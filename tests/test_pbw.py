@@ -12,6 +12,8 @@ from qheisenberg.arith import derive_params, ord_formula, valid_pairs
 from qheisenberg.cyclotomic import CycNumber, zeta_power
 from qheisenberg.pbw import (
     DEGREE_CAP,
+    POWER_BITS_CAP,
+    POWER_PAIR_CAP,
     PbwElement,
     center_generators,
     commutation_twist,
@@ -150,6 +152,27 @@ def test_params_mismatch():
 def test_degree_cap():
     with pytest.raises(OverflowError):
         PbwElement.monomial(PS23, DEGREE_CAP + 1, 0, 0)
+
+
+def test_power_caps():
+    one = CycNumber.one(PS23.conductor)
+    # 257 terms without y: the square forms 257^2 pairs, one reordering term each
+    wide = PbwElement(PS23, {(0, j, 0): one for j in range(257)})
+    assert 257 ** 2 > POWER_PAIR_CAP >= 256 ** 2
+    with pytest.raises(OverflowError, match="POWER_PAIR_CAP"):
+        wide ** 2
+    # y^5 x^5 at (2, 3) reorders into 1 + min(5 mod 6, 5) = 6 terms
+    assert 6 * 110 ** 2 > POWER_PAIR_CAP
+    y_side = PbwElement(PS23, {(0, j, 5): one for j in range(5, 115)})
+    with pytest.raises(OverflowError, match="POWER_PAIR_CAP"):
+        y_side ** 2
+    # 3^(2^20) has about 1.66 million bits
+    assert POWER_BITS_CAP < (1 << 20)
+    with pytest.raises(OverflowError, match="POWER_BITS_CAP"):
+        PbwElement.scalar(PS23, 3) ** (1 << 20)
+    # roots of unity keep one bit however large the exponent
+    g = PbwElement.scalar(PS23, zeta_power(PS23.conductor, 1))
+    assert g ** 99999999 == g ** (99999999 % PS23.conductor)
 
 
 def test_theta_forms():

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from qheisenberg import modular
 from qheisenberg.arith import derive_params, ord_formula, pi_degree, valid_pairs
@@ -942,7 +943,10 @@ class TestCertificates:
             mods.append(direct_sum(mods[0], mods[5]))
             for a in mods:
                 for b in mods:
-                    certified = len(modular.hom_pivots(gens(a), gens(b))) == a.d * b.d
+                    full = a.d * b.d
+                    picked = modular.independent(
+                        hom_equations(gens(a), gens(b)), params.conductor, full)
+                    certified = len(picked) == full
                     exact = matrix_hom_space(gens(a), gens(b))
                     assert certified == (exact == []), \
                         (params.m, params.n, a.d, b.d)
@@ -962,6 +966,38 @@ class TestCertificates:
                     assert modular.rank(mat) == exact
                     assert is_invertible(mat) == (exact == rep.d)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.dictionaries(
+               st.integers(0, 5),
+               st.tuples(st.integers(-2, 2), st.integers(0, 5),
+                         st.sampled_from([1, 2, 3]))), max_size=9),
+           full=st.none() | st.integers(1, 6),
+           bad=st.tuples(st.integers(0, 8), st.integers(0, 5)))
+    def test_property_independent_admits_exactly_independent_rows(self, rows,
+                                                                  full, bad):
+        # entries c/den * zeta_6^e, zeros included
+        rows = [{k: zeta_power(6, e) * Fraction(c, den)
+                 for k, (c, e, den) in row.items()} for row in rows]
+        assert_admits_like_exact(rows, 6, full)
+        if rows:
+            # an entry with no reduction mod P, met on a walk over every row
+            i = bad[0] % len(rows)
+            prime = modular._field(6)[0]
+            rows[i] = {**rows[i], bad[1]: CycNumber.from_rational(
+                6, Fraction(1, prime))}
+            assert modular.independent(rows, 6) is None
+
+    def test_independent_on_dense_conjugates(self):
+        rng = random.Random(39)
+        for params in all_params(4):
+            for rep in families(params, rng):
+                dense = integer_conjugate(rep, rng)
+                for mat in gens(dense) + [theta_matrix(dense)]:
+                    assert_admits_like_exact(mat._rows, params.conductor)
+                    assert modular.rank(mat) <= row_reduce(mat)[1]
+                assert_admits_like_exact(hom_equations(gens(dense), gens(rep)),
+                                         params.conductor, rep.d ** 2)
+
     def test_short_modular_rank_falls_back_to_exact(self, monkeypatch):
         calls = []
         exact_span = algebra_span_dim
@@ -973,7 +1009,8 @@ class TestCertificates:
         monkeypatch.setattr("qheisenberg.reps.algebra_span_dim", counted)
         monkeypatch.setattr(modular, "span_rank", lambda mats: 0)
         monkeypatch.setattr(modular, "spin_dim", lambda mats, i: 0)
-        monkeypatch.setattr(modular, "hom_pivots", lambda a, b: [])
+        monkeypatch.setattr(modular, "independent",
+                            lambda rows, conductor, full=None: [])
         monkeypatch.setattr(modular, "rank", lambda mat: 0)
         v1 = build_v1(P23, zeta_power(6, 1), 2, 3)
         other = build_v1(P23, zeta_power(6, 1), 3, 3)
@@ -989,7 +1026,7 @@ class TestCertificates:
         v1 = build_v1(P23, Fraction(1, prime), 2, 3)
         other = build_v1(P23, Fraction(1, prime), 3, 3)
         assert modular.span_rank(gens(v1)) is None
-        assert modular.hom_pivots(gens(v1), gens(other)) is None
+        assert modular.independent(hom_equations(gens(v1), gens(other)), 6) is None
         assert modular.rank(v1.Mx) is None
         assert is_simple(v1)
         assert is_invertible(v1.Mx)
@@ -1036,7 +1073,7 @@ class TestCertificates:
             print(reps.is_simple(no_reduction), len(calls))
             modular.span_rank = lambda mats: 0
             modular.spin_dim = lambda mats, i: 0
-            modular.hom_pivots = lambda a, b: []
+            modular.independent = lambda rows, conductor, full=None: []
             v1 = reps.build_v1(params, 1, 2, 3)
             other = reps.build_v1(params, 1, 3, 3)
             print(reps.is_simple(v1), len(calls),
@@ -1051,11 +1088,20 @@ class TestCertificates:
         assert out.stdout.split("\n") == ["True 1", "True 2 None", ""]
 
 
-def reference_hom_space(mats_a, mats_b):
-    """Every equation (g, i, j) of A_g P = P B_g into one echelon, read densely."""
+def assert_admits_like_exact(rows, conductor, full=None):
+    """modular.independent admits, in order, only rows the exact echelon admits."""
+    rows = list(rows)
+    picked = modular.independent(rows, conductor, full)
+    ech = SparseEchelon(conductor)
+    exact = [pos for pos, row in enumerate(rows) if ech.insert(row) is not None]
+    assert picked is not None
+    assert picked == sorted(picked) and set(picked) <= set(exact)
+    assert full is None or len(picked) <= full
+
+
+def hom_equations(mats_a, mats_b):
+    """Each equation (g, i, j) of A_g P = P B_g in that order, read densely."""
     da, db = mats_a[0].shape[0], mats_b[0].shape[0]
-    cond = mats_a[0].conductor
-    ech = SparseEchelon(cond)
     for a_mat, b_mat in zip(mats_a, mats_b):
         a_rows, b_rows = a_mat.rows, b_mat.rows
         for i in range(da):
@@ -1065,7 +1111,16 @@ def reference_hom_space(mats_a, mats_b):
                     eq[(t, j)] = eq.get((t, j), 0) + a_rows[i][t]
                 for t in range(db):
                     eq[(i, t)] = eq.get((i, t), 0) - b_rows[t][j]
-                ech.insert(eq)
+                yield eq
+
+
+def reference_hom_space(mats_a, mats_b):
+    """Every equation (g, i, j) of A_g P = P B_g into one echelon."""
+    da, db = mats_a[0].shape[0], mats_b[0].shape[0]
+    cond = mats_a[0].conductor
+    ech = SparseEchelon(cond)
+    for eq in hom_equations(mats_a, mats_b):
+        ech.insert(eq)
     unknowns = [(r, c) for r in range(da) for c in range(db)]
     return [FieldMatrix.from_entries(da, db, sol, cond)
             for sol in ech.kernel_basis(unknowns)]
@@ -1121,9 +1176,10 @@ class TestHomSpace:
     def test_matches_reference_solve(self, stub, monkeypatch):
         cases = hom_space_cases()
         if stub is not None:
-            real = modular.hom_pivots
-            monkeypatch.setattr(modular, "hom_pivots",
-                                lambda a, b: stub(real(a, b)))
+            real = modular.independent
+            monkeypatch.setattr(modular, "independent",
+                                lambda rows, conductor, full=None:
+                                stub(real(rows, conductor, full)))
         for a, b, want in cases:
             got = matrix_hom_space(gens(a), gens(b))
             where = (a.params.m, a.params.n, a.d, b.d)
@@ -1147,7 +1203,7 @@ class TestHomSpace:
 
     def test_dense_pair_without_weight_support(self):
         # two integer conjugates of QPlaneZ at d = 5: only z = 0 is
-        # diagonal, so the hom_pivots path solves it.  Conjugation does
+        # diagonal, so the modular.independent path solves it.  Conjugation does
         # not change the hom space's dimension, 1 as for the pair
         # (QPlaneZ, QPlaneZ).
         qz = build_qplane(derive_params(1, 5), Z_TORSION, 2, 3)
@@ -1168,19 +1224,26 @@ class TestHomSpace:
         # coincide in pairs: 2d equations, rank d - 1, against the d^2 - 1
         # equations the modular pivots would insert.
         calls = count_inserts(monkeypatch)
-        monkeypatch.setattr(modular, "hom_pivots", lambda a, b: pytest.fail(
-            "the weight support needs no modular step"))
+
+        def no_modular_step(rows, conductor, full=None):
+            pytest.fail("the weight support needs no modular step")
+
         v1 = build_v1(P23, zeta_power(6, 1), 2, 3)
         twin = build_v1(P23, zeta_power(6, 1), 2 * P23.p ** 2, 3 * P23.q ** -2)
         full = [gens(v) + [theta_matrix(v)] for v in (v1, twin)]
-        basis = matrix_hom_space(*full)
+        # is_invertible reads modular.rank, so the stub covers the solves only
+        with monkeypatch.context() as patch:
+            patch.setattr(modular, "independent", no_modular_step)
+            basis = matrix_hom_space(*full)
         assert len(basis) == 1 and is_invertible(basis[0])
         assert len(calls) == 2 * v1.d
         assert basis == reference_hom_space(gens(v1), gens(twin))
         # unequal weights on every pair: an empty support, no equation
         calls.clear()
         other = build_v1(P23, zeta_power(6, 1), 5, 3)
-        assert matrix_hom_space(full[0], gens(other) + [theta_matrix(other)]) == []
+        with monkeypatch.context() as patch:
+            patch.setattr(modular, "independent", no_modular_step)
+            assert matrix_hom_space(full[0], gens(other) + [theta_matrix(other)]) == []
         assert calls == []
 
 
@@ -1363,7 +1426,7 @@ class TestWeightCertificates:
                       (sums[0], mods[0]), (mods[1], sums[3])]
             if params.l <= 6:
                 pairs.append((sums[2], sums[2]))
-            # the dense conjugates take the hom_pivots path, the QPlaneZ one
+            # the dense conjugates take the modular.independent path, the QPlaneZ one
             # with a diagonal z = 0 that tells no unknown apart; above l = 6
             # the exact solve of a dense V1 takes seconds
             if dense:
