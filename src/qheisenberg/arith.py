@@ -29,12 +29,14 @@ ALWAYS_MAX = "ALWAYS_MAX"
 ALWAYS_NONMAX = "ALWAYS_NONMAX"
 MIXED = "MIXED"
 
-# The largest conductor derive_params accepts.  A field inverse costs about
-# phi(N)^3 integer steps: at N = 199, the largest phi(N) = 198 under this
-# limit, one takes about 1 s on a 2-vCPU x86-64 box, and at N = 251 it
-# takes 2.6 s.  Without a limit, (m, n) = (1000003, 2) builds a zeta table
-# of N * phi(N) > 10^12 integers.
-MAX_CONDUCTOR = 200
+# The largest conductor derive_params accepts.  Deriving the parameters
+# and ord(pq) takes at most 1.4 s up to N = 1000 on a 2-vCPU x86-64 box
+# ((m, n) = (1000, 1000) is the slowest), 3.8 s at N = 4006 and 13 s at
+# N = 8002; (m, n) = (10007, 2) runs out of 1.5 GB, and (1000003, 2)
+# would build a zeta table of N * phi(N) > 10^12 integers.  Operations
+# that invert pay more: one field inverse costs about phi(N)^3 integer
+# steps, about 1 s at N = 199 and 27 s at N = 1006.
+MAX_CONDUCTOR = 1000
 
 
 class InvalidParameters(ValueError):

@@ -312,9 +312,9 @@ def _power_step(a: PbwElement, b: PbwElement) -> PbwElement:
 
 
 def _coeff_bits(elem: PbwElement) -> int:
-    # the bit length of the largest numerator or denominator in elem
-    return max(max(c.den, max(c.num), -min(c.num))
-               for c in elem.terms.values()).bit_length()
+    # the bit length of the largest numerator or denominator in elem, 0 for 0
+    return max((max(c.den, max(c.num), -min(c.num))
+                for c in elem.terms.values()), default=0).bit_length()
 
 
 _RANK = {"z": 0, "x": 1, "y": 2}

@@ -108,15 +108,15 @@ def test_derive_params_larger_conductor():
 
 
 def test_derive_params_conductor_limit(monkeypatch):
-    assert derive_params(8, 25).conductor == MAX_CONDUCTOR == 200
-    assert derive_params(2, 3, 1, 1, conductor=198).conductor == 198
+    assert derive_params(8, 125).conductor == MAX_CONDUCTOR == 1000
+    assert derive_params(2, 3, 1, 1, conductor=996).conductor == 996
     # refused before any pair is listed or any table of the field is built
     for name in ("valid_pairs", "_derive"):
         monkeypatch.setattr(arith, name, lambda *args, name=name: pytest.fail(name))
-    with pytest.raises(InvalidParameters, match="MAX_CONDUCTOR = 200"):
+    with pytest.raises(InvalidParameters, match="MAX_CONDUCTOR = 1000"):
         derive_params(1000003, 2)
-    with pytest.raises(InvalidParameters, match="conductor 204 exceeds"):
-        derive_params(2, 3, 1, 1, conductor=204)
+    with pytest.raises(InvalidParameters, match="conductor 1002 exceeds"):
+        derive_params(2, 3, 1, 1, conductor=1002)
 
 
 def test_relation_matrix_anchor():

@@ -264,9 +264,9 @@ class TestExitCodes:
                                              "--n", "2"])
         assert code == 1
         assert err == ("error: conductor 2000006 exceeds the limit "
-                       "MAX_CONDUCTOR = 200\n")
-        assert main(["order", "--m", "8", "--n", "25"]) == 0
-        assert json.loads(capsys.readouterr().out) == {"ord_pq": 200}
+                       "MAX_CONDUCTOR = 1000\n")
+        assert main(["order", "--m", "8", "--n", "125"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"ord_pq": 1000}
 
     def test_malformed_module_file_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -644,6 +644,13 @@ class TestFuzz:
         assert code == 1
         assert err.startswith("error: power too large: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("expr", ["0^2", "(x-x)^3", "(x-x)^99999999"])
+    def test_power_of_zero_is_zero(self, expr, capsys):
+        assert main(["normal-form", "--m", "2", "--n", "3", expr]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["terms"] == []
+        assert captured.err == ""
 
     @_FUZZ_SETTINGS
     @given(kind=st.sampled_from(sorted(KIND_SCALARS)), mu=_FUZZ_TEXT,

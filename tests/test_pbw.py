@@ -173,6 +173,11 @@ def test_power_caps():
     # roots of unity keep one bit however large the exponent
     g = PbwElement.scalar(PS23, zeta_power(PS23.conductor, 1))
     assert g ** 99999999 == g ** (99999999 % PS23.conductor)
+    # zero has no coefficients to measure: its powers stay zero
+    zero = PbwElement.zero(PS23)
+    for e in (1, 2, 3, 99999999):
+        assert (zero ** e).is_zero()
+    assert zero ** 0 == PbwElement.one(PS23)
 
 
 def test_theta_forms():

@@ -998,6 +998,19 @@ class TestCertificates:
                 assert_admits_like_exact(hom_equations(gens(dense), gens(rep)),
                                          params.conductor, rep.d ** 2)
 
+    def test_independent_may_keep_other_rows_than_exact(self):
+        # r2 = r1 + P * r3: mod P the walk drops r2 and keeps r3, while
+        # the exact walk keeps r2 and drops r3; both sets are independent
+        prime = modular._field(6)[0]
+        one = CycNumber.one(6)
+        rows = [{0: one}, {0: one, 1: CycNumber.from_rational(6, prime)},
+                {1: one}]
+        assert modular.independent(rows, 6) == [0, 2]
+        exact = SparseEchelon(6)
+        assert [exact.insert(row) is not None for row in rows] == \
+            [True, True, False]
+        assert_admits_like_exact(rows, 6)
+
     def test_short_modular_rank_falls_back_to_exact(self, monkeypatch):
         calls = []
         exact_span = algebra_span_dim
@@ -1089,13 +1102,21 @@ class TestCertificates:
 
 
 def assert_admits_like_exact(rows, conductor, full=None):
-    """modular.independent admits, in order, only rows the exact echelon admits."""
+    """modular.independent admits, in order, rows independent exactly.
+
+    The admitted set need not be the one the exact echelon keeps on the
+    same walk (see test_independent_may_keep_other_rows_than_exact).
+    """
     rows = list(rows)
     picked = modular.independent(rows, conductor, full)
-    ech = SparseEchelon(conductor)
-    exact = [pos for pos, row in enumerate(rows) if ech.insert(row) is not None]
     assert picked is not None
-    assert picked == sorted(picked) and set(picked) <= set(exact)
+    assert picked == sorted(set(picked))
+    kept = SparseEchelon(conductor)
+    assert all(kept.insert(rows[pos]) is not None for pos in picked)
+    exact = SparseEchelon(conductor)
+    for row in rows:
+        exact.insert(row)
+    assert len(picked) <= exact.rank
     assert full is None or len(picked) <= full
 
 
