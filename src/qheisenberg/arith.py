@@ -38,6 +38,11 @@ MIXED = "MIXED"
 # steps, about 1 s at N = 199 and 27 s at N = 1006.
 MAX_CONDUCTOR = 1000
 
+# The largest m * n that scan_orders accepts.  At m * n = 100006,
+# (m, n) = (50003, 2), the CLI scan took 0.4 s, 69 MB and printed 3.2 MB
+# on a 2-vCPU x86-64 box; time and output grow linearly in m * n.
+MAX_SCAN_PAIRS = 100_000
+
 
 class InvalidParameters(ValueError):
     """Raised for parameter choices violating the admissibility conditions."""
@@ -100,6 +105,8 @@ def is_valid_pair(m: int, n: int, k1: int, k2: int) -> bool:
 
 def valid_pairs(m: int, n: int) -> list[tuple[int, int]]:
     """All admissible (k1, k2) for the order pair (m, n), sorted."""
+    if m < 1 or n < 1:
+        return []
     return [(k1, k2) for k1 in range(m) for k2 in range(n)
             if is_valid_pair(m, n, k1, k2)]
 
@@ -402,7 +409,11 @@ def scan_orders(m: int, n: int) -> OrderReport:
 
     The verdict is observed from the scan: ALWAYS_MAX if every order
     equals l = lcm(m, n), ALWAYS_NONMAX if none does, MIXED otherwise.
+    Raises InvalidParameters when m * n exceeds MAX_SCAN_PAIRS.
     """
+    if min(m, n) >= 1 and m * n > MAX_SCAN_PAIRS:
+        raise InvalidParameters(f"m * n = {m * n} exceeds the scan limit "
+                                f"MAX_SCAN_PAIRS = {MAX_SCAN_PAIRS}")
     pairs = valid_pairs(m, n)
     if not pairs:
         raise InvalidParameters(f"no admissible parameters for (m, n) = ({m}, {n})")

@@ -6,9 +6,11 @@ matrices here have at most one nonzero entry per row (diagonal, cyclic
 shift, or shift times diagonal), so products, sums and relation residuals
 cost O(nonzeros) rather than O(l^3).  On top of it sits one exact
 elimination, `SparseEchelon`, whose pivot rows have lead entry 1.  It
-serves every exact rank, kernel and span: `row_reduce`, the dimension of
-a matrix algebra generated by a few matrices, and the space of
-intertwiners between two representations.
+serves every exact rank, kernel and span: `row_reduce`, the space of
+intertwiners between two representations, and `spin`, the one walk that
+multiplies vectors by generators.  `spin` takes its echelon as an
+argument, so the same walk runs over F_P on `modular.reduced`'s echelon;
+the dimension of a matrix algebra is the spin of the identity.
 """
 
 from __future__ import annotations
@@ -419,36 +421,46 @@ def _generator_size(mats: list[FieldMatrix]) -> tuple[int, int]:
     return d, conductor
 
 
+def spin(gens: list, seed: dict, full: int, ech) -> int:
+    """Dimension of the spin of seed under d x d generators, up to full.
+
+    The spin is the span of seed times every word in the generators.
+    gens are the generators' sparse rows ({col: value} per row) over the
+    field of ech: an empty `SparseEchelon`, or the F_P echelon of
+    `modular.reduced`.  Key r*d + c is entry c of row r, so a row vector
+    has keys below d and a d x d matrix has d^2 keys.  The walk is depth
+    first: each row ech admits, lead-normalised, is multiplied by each
+    generator, until full rows are admitted.  Values are only multiplied
+    and added here; ech drops zeros and, over F_P, reduces.
+    """
+    d = len(gens[0])
+    pending = [ech.insert(dict(seed))]
+    while pending:
+        vec = pending.pop()
+        for g in gens:
+            image: dict = {}
+            for key, v in vec.items():
+                base = key - key % d
+                for j, w in g[key - base].items():
+                    cur = image.get(base + j)
+                    image[base + j] = v * w if cur is None else cur + v * w
+            admitted = ech.insert(image)
+            if admitted is not None:
+                if ech.rank == full:
+                    return full
+                pending.append(admitted)
+    return ech.rank
+
+
 def algebra_span_dim(mats: list[FieldMatrix]) -> int:
     """Dimension of the unital algebra generated by the given matrices.
 
-    Seeds the span with the identity and right-multiplies admitted
-    elements by generators until the row-reduced basis stops growing.
+    It is the `spin` of the identity, read as d^2 entries.
     """
     d, conductor = _generator_size(mats)
-    ech = SparseEchelon(conductor)
     one = CycNumber.one(conductor)
-    ident = {(i, i): one for i in range(d)}
-    pending = [ech.insert(dict(ident))]
-    while pending:
-        elem = pending.pop()
-        for g in mats:
-            prod: dict = {}
-            for (r, c), v in elem.items():
-                for j, w in g._rows[c].items():
-                    key = (r, j)
-                    cur = prod.get(key)
-                    nv = v * w if cur is None else cur + v * w
-                    if nv.is_zero():
-                        prod.pop(key, None)
-                    else:
-                        prod[key] = nv
-            admitted = ech.insert(prod)
-            if admitted is not None:
-                pending.append(admitted)
-        if ech.rank == d * d:
-            return d * d
-    return ech.rank
+    return spin([g._rows for g in mats], {i * d + i: one for i in range(d)},
+                d * d, SparseEchelon(conductor))
 
 
 def joint_weights(mats: list[FieldMatrix]) -> list[tuple]:

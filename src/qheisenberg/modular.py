@@ -10,23 +10,12 @@ P.  So a full rank mod P proves a full exact rank, while a short rank
 mod P proves nothing.
 
 `independent` returns the positions of the sparse exact rows that are
-independent mod P, which are independent exactly too; `rank`,
-`span_rank` and `spin_dim` return a rank mod P.  Each returns None when
-some entry has a denominator divisible by P (or the matrices do not fit
-together) and so no reduction exists.  Callers read an answer from
-modular data alone only when the rank is full.  Otherwise they compute
-the exact answer: `linalg.matrix_hom_space` passes its intertwining
-equations to `independent`, solves exactly from the admitted ones,
-verifies every kernel matrix exactly, and inserts every equation when a
-check fails.  The prime and w are found once per conductor, on first use.
-
-`spin_dim` serves Norton's irreducibility test (`reps.weight_certificate`).
-If some theta in the algebra has ker theta = ker theta^T = K e_i, one
-dimension, and e_i spins to the whole space under the generators and
-under their transposes, the module is absolutely simple.  Both spins are
-read mod P, and only a full one is used: it proves a full exact spin.
-The one-dimensional kernel is read exactly, from a weight of e_i that
-no other basis vector shares.
+independent mod P, and so independent exactly; `rank` is a rank mod P.
+`reduced` gives matrices mod P and an empty F_P echelon with the exact
+echelon's contract, for `linalg.spin` to walk.  Each returns None when an
+entry has a denominator divisible by P, so that no reduction exists.  The
+prime and w are found once per conductor, on first use.  This module
+imports nothing from `linalg`, which imports it.
 """
 
 from __future__ import annotations
@@ -113,49 +102,55 @@ def _reduce(rows, prime: int, powers: tuple[int, ...]):
         yield red
 
 
-def _reduce_generators(mats) -> tuple[int, int, list] | None:
-    # (P, d, reduced matrices) for d x d matrices over one field, else None
-    if not mats:
-        return None
-    d = mats[0].shape[0]
-    conductor = mats[0].conductor
-    if any(g.shape != (d, d) or g.conductor != conductor for g in mats):
-        return None
-    prime, powers = _field(conductor)
+def reduced(mats) -> tuple[list[list[dict]], _Echelon] | None:
+    """The sparse rows of each matrix mod P, and an empty F_P echelon.
+
+    The matrices share one conductor.  The rows and the echelon are the
+    generators and the echelon that `linalg.spin` walks.  None when an
+    entry has a denominator divisible by P.
+    """
+    prime, powers = _field(mats[0].conductor)
     try:
-        return prime, d, [list(_reduce(g._rows, prime, powers)) for g in mats]
+        rows = [list(_reduce(g._rows, prime, powers)) for g in mats]
     except _NoReduction:
         return None
+    return rows, _Echelon(prime)
 
 
 class _Echelon:
-    """Semi-echelon rows over F_P with normalised pivots.
+    """Semi-echelon rows over F_P, with the contract of `linalg.SparseEchelon`.
 
-    A pivot row is stored without its lead coefficient, which is 1, and
-    every other entry sits at a larger index, so a vector is reduced by
-    clearing its smallest index until it vanishes or has a new lead.
+    `insert` returns the admitted row divided by its lead, or None.  A
+    pivot row is stored without its lead entry, 1, and its other entries
+    sit at larger indices.  Entries may be any ints: each is reduced mod
+    P when it is reached as a lead or when the remainder is admitted.
     """
 
     def __init__(self, prime: int):
         self.prime = prime
         self.pivots: dict = {}
 
-    def insert(self, vec: dict) -> bool:
-        """Reduce vec (index -> nonzero residue; consumed) and admit any remainder."""
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def insert(self, vec: dict) -> dict | None:
+        """Reduce vec (index -> int; consumed); admit and return any remainder, lead 1."""
         prime = self.prime
         pivots = self.pivots
         heap = list(vec)
         heapify(heap)
         while heap:
             lead = heappop(heap)
-            c = vec.pop(lead, None)
-            if c is None:
+            c = vec.pop(lead, 0) % prime
+            if not c:
                 continue
             row = pivots.get(lead)
             if row is None:
                 inv = pow(c, -1, prime)
-                pivots[lead] = {k: v * inv % prime for k, v in vec.items()}
-                return True
+                row = pivots[lead] = {k: x for k, v in vec.items()
+                                      if (x := v * inv % prime)}
+                return {lead: 1, **row}
             for k, v in row.items():
                 old = vec.get(k)
                 if old is None:
@@ -167,7 +162,7 @@ class _Echelon:
                         vec[k] = x
                     else:
                         del vec[k]
-        return False
+        return None
 
 
 def independent(rows, conductor: int, full: int | None = None) -> list[int] | None:
@@ -186,7 +181,7 @@ def independent(rows, conductor: int, full: int | None = None) -> list[int] | No
     admitted: list[int] = []
     try:
         for pos, vec in enumerate(_reduce(rows, prime, powers)):
-            if vec and ech.insert(vec):
+            if ech.insert(vec) is not None:
                 admitted.append(pos)
                 if len(admitted) == full:
                     break
@@ -199,55 +194,3 @@ def rank(mat) -> int | None:
     """Rank mod P of a FieldMatrix, or None without a reduction."""
     rows = independent(mat._rows, mat.conductor)
     return None if rows is None else len(rows)
-
-
-def span_rank(mats) -> int | None:
-    """Rank mod P of the unital algebra generated by d x d matrices.
-
-    Words in the generators are taken breadth-first from the identity;
-    a word is multiplied on by each generator only if it was admitted.
-    Full rank is d^2, which proves the exact span is the whole matrix
-    algebra.
-    """
-    d = mats[0].shape[0] if mats else 0
-    return _spin(mats, {i * d + i: 1 for i in range(d)}, d * d)
-
-
-def spin_dim(mats, i: int) -> int | None:
-    """Dimension mod P of the spin of e_i under d x d matrices.
-
-    The spin is the span of the row vector e_i times every word in the
-    matrices, the smallest subspace containing e_i that each of them
-    maps into itself.  Images are taken breadth-first, and only an
-    admitted image is multiplied on.  The rank of any set of images can
-    only fall under reduction, so a spin of dimension d mod P proves that
-    e_i spins to the whole space exactly; a shorter one proves nothing.
-    """
-    return _spin(mats, {i: 1}, mats[0].shape[0] if mats else 0)
-
-
-def _spin(mats, seed: dict, full: int) -> int | None:
-    # Rank mod P of the images of seed under every word in the matrices,
-    # or None without a reduction.  Key r*d + c is entry c of row r, so a
-    # row vector is keys below d and a d x d matrix is d^2 keys, and a
-    # row times g is that row of the product.  The walk stops at rank full.
-    reduced = _reduce_generators(mats)
-    if reduced is None:
-        return None
-    prime, d, gens = reduced
-    ech = _Echelon(prime)
-    ech.insert(dict(seed))
-    vecs = [seed]
-    for vec in vecs:
-        for g in gens:
-            acc: dict = {}
-            for key, v in vec.items():
-                base = key - key % d
-                for j, w in g[key % d].items():
-                    acc[base + j] = acc.get(base + j, 0) + v * w
-            image = {k: v % prime for k, v in acc.items() if v % prime}
-            if image and ech.insert(dict(image)):
-                if len(ech.pivots) == full:
-                    return full
-                vecs.append(image)
-    return len(ech.pivots)

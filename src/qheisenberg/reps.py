@@ -28,7 +28,7 @@ from .cyclotomic import (CycNumber, _check_json_int, nth_root_in_field,
                          roots_of_unity)
 from .linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
                      is_invertible, joint_weights, matrix_hom_space,
-                     row_reduce, scalar_of)
+                     row_reduce, scalar_of, spin)
 from .pbw import _coerce_scalar, pq_number
 
 Z_TORSION = "Z_TORSION"
@@ -348,27 +348,23 @@ def is_simple(rep: MatrixRep) -> bool:
 def span_dim(rep: MatrixRep) -> int:
     """Dimension of the unital algebra spanned by Mx, My and Mz.
 
-    The span is d^2 exactly when the module is simple (Burnside).  Three
-    certificates are tried before the exact span is computed:
+    The span is d^2 exactly when the module is simple (Burnside).  Each
+    rung of this ladder is a `linalg.spin`, mod P or exact:
 
-    * The weight certificate, `weight_certificate`: some standard basis
-      vector e_i with a joint weight of its own under the diagonal ones of
-      Mx, My, Mz and theta spins to the whole space under Mx, My, Mz and
-      under their transposes, mod P.  By Norton's criterion the module is
-      then absolutely simple, so the span is d^2.
-    * A span of d^2 dimensions mod a prime P: reduction mod P can only
-      lower a rank, so the span is d^2 exactly and the module is simple.
-    * A standard basis vector whose exact spin under Mx, My and Mz is a
-      proper subspace: that subspace is a submodule, so the module is not
-      simple.  When the weight certificate did not return None (the
-      basis is a weight basis), this spin runs before the span mod P,
-      since a reducible weight module usually shows a submodule at once.
+    * `weight_certificate`: Norton's test on a standard basis vector with
+      a joint weight of its own; when it holds, the span is d^2.
+    * The spin of the identity mod a prime P, the span mod P: a rank can
+      only fall under reduction, so d^2 mod P proves d^2 exactly.
+    * The exact spin of each standard basis vector: a short one is a
+      submodule, so the module is not simple.  In a weight basis (the
+      weight certificate did not return None) it runs before the span
+      mod P, since a reducible weight module usually shows one at once.
 
     Otherwise the exact span of `algebra_span_dim` is the value.  No answer
-    is read from a short rank or spin mod P; the relations are not checked.
-    The outcome of this ladder is computed once per module object and
-    shared with `is_simple`; the exact span that follows a submodule found
-    by a spin is computed again on every call.
+    is read from a short spin mod P; the relations are not checked.  The
+    outcome of this ladder is computed once per module object and shared
+    with `is_simple`; the exact span that follows a submodule found by a
+    spin is computed again on every call.
     """
     span = _certified_span(rep)
     return algebra_span_dim([rep.Mx, rep.My, rep.Mz]) if span is None else span
@@ -391,7 +387,7 @@ def _certify_span(rep: MatrixRep) -> int | None:
     weighted = certified is not None
     if weighted and _spin_finds_submodule(gens, d):
         return None
-    if modular.span_rank(gens) == d * d:
+    if _spin_mod_p(gens, {i * d + i: 1 for i in range(d)}, d * d) == d * d:
         return d * d
     if not weighted and _spin_finds_submodule(gens, d):
         return None
@@ -416,7 +412,7 @@ def weight_certificate(rep: MatrixRep) -> bool | None:
     absolutely simple, so the generators span all d^2 matrices.  Both
     spins are needed: a module can have a full forward spin and a proper
     submodule.  True is returned when both spins are full mod P, which
-    makes them full exactly (`modular.spin_dim`); False when no weight is
+    makes them full exactly (`_spin_mod_p`); False when no weight is
     unique or a spin mod P falls short, which proves nothing.
     """
     gens = [rep.Mx, rep.My, rep.Mz]
@@ -429,31 +425,28 @@ def weight_certificate(rep: MatrixRep) -> bool | None:
     i = next((i for i, w in enumerate(weights) if counts[w] == 1), None)
     if i is None:
         return False
-    return (modular.spin_dim(gens, i) == rep.d
-            and modular.spin_dim([g.transpose() for g in gens], i) == rep.d)
+    d = rep.d
+    return (_spin_mod_p(gens, {i: 1}, d) == d
+            and _spin_mod_p([g.transpose() for g in gens], {i: 1}, d) == d)
+
+
+def _spin_mod_p(gens: list[FieldMatrix], seed: dict, full: int) -> int | None:
+    # The `spin` of seed mod P, up to full, or None without a reduction.
+    # A rank can only fall under reduction, so a full spin mod P proves a
+    # full exact spin; a short one proves nothing.
+    reduced = modular.reduced(gens)
+    if reduced is None:
+        return None
+    return spin(reduced[0], seed, full, reduced[1])
 
 
 def _spin_finds_submodule(gens: list[FieldMatrix], d: int) -> bool:
-    # The spin of e_i is the span of e_i times every word in the
-    # generators; it is invariant, so a dimension below d shows a proper
-    # submodule.  Images of e_i, not echelon rows, are multiplied on:
-    # they keep the entries of products of the generators, while the
-    # lead-normalised rows carry the echelon's denominators.
-    cond = gens[0].conductor
-    for i in range(d):
-        ech = SparseEchelon(cond)
-        vecs = [FieldMatrix.from_entries(1, d, {(0, i): 1}, cond)]
-        ech.insert(vecs[0]._rows[0])
-        for vec in vecs:
-            if len(vecs) == d:
-                break
-            for g in gens:
-                image = vec * g
-                if ech.insert(image._rows[0]) is not None:
-                    vecs.append(image)
-        if len(vecs) < d:
-            return True
-    return False
+    # The exact spin of e_i is invariant, so a dimension below d shows a
+    # proper submodule
+    one = CycNumber.one(gens[0].conductor)
+    rows = [g._rows for g in gens]
+    return any(spin(rows, {i: one}, d, SparseEchelon(one.conductor)) < d
+               for i in range(d))
 
 
 def _on_left_kernel(op: FieldMatrix, mat: FieldMatrix, kind: str,

@@ -15,6 +15,7 @@ from qheisenberg.arith import (
     ALWAYS_MAX,
     ALWAYS_NONMAX,
     MAX_CONDUCTOR,
+    MAX_SCAN_PAIRS,
     MIXED,
     InvalidParameters,
     classify_pair,
@@ -332,6 +333,20 @@ def test_scan_anchors():
     rep = scan_orders(9, 9)
     assert rep.verdict == MIXED
     assert rep.entries[(1, 1)] == 9 and rep.entries[(1, 2)] == 3
+
+
+def test_scan_pair_limit(monkeypatch):
+    assert len(scan_orders(24, 24).entries) == 56
+    assert len(scan_orders(50000, 2).entries) == 20000    # m * n at the limit
+    # an order below 1 lists nothing, whatever the other order is
+    assert valid_pairs(10 ** 12, 0) == valid_pairs(-1, 10 ** 12) == []
+    with pytest.raises(InvalidParameters, match="no admissible parameters"):
+        scan_orders(10 ** 12, 0)
+    # refused before any pair is listed
+    monkeypatch.setattr(arith, "valid_pairs", lambda m, n: pytest.fail("listed"))
+    for m, n in ((1000003, 2), (MAX_SCAN_PAIRS + 1, 1), (317, 317)):
+        with pytest.raises(InvalidParameters, match="MAX_SCAN_PAIRS = 100000"):
+            scan_orders(m, n)
 
 
 def test_scan_report_json_shape():

@@ -26,6 +26,19 @@ from golden_cases import GOLDEN_CASES, expected_output, run_case
 P23 = derive_params(2, 3, 1, 1)
 
 
+def no_span_mod_p(monkeypatch):
+    """Fail if the ladder spins the identity mod P; spins of e_i still run."""
+    from qheisenberg import reps
+    spin_mod_p = reps._spin_mod_p
+
+    def vectors_only(gens, seed, full):
+        if full != gens[0].shape[0]:
+            pytest.fail("span mod P computed")
+        return spin_mod_p(gens, seed, full)
+
+    monkeypatch.setattr(reps, "_spin_mod_p", vectors_only)
+
+
 class TestGoldens:
     @pytest.mark.parametrize("case", GOLDEN_CASES,
                              ids=[c["name"] for c in GOLDEN_CASES])
@@ -268,6 +281,15 @@ class TestExitCodes:
         assert main(["order", "--m", "8", "--n", "125"]) == 0
         assert json.loads(capsys.readouterr().out) == {"ord_pq": 1000}
 
+    def test_scan_beyond_pair_limit_is_domain_error(self):
+        # refused before any pair is listed: unbounded, this scan printed
+        # 69 MB
+        code, err = _run_main_with_watchdog(["scan", "--m", "1000003",
+                                             "--n", "2"])
+        assert code == 1
+        assert err == ("error: m * n = 2000006 exceeds the scan limit "
+                       "MAX_SCAN_PAIRS = 100000\n")
+
     def test_malformed_module_file_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -431,13 +453,12 @@ class TestExitCodes:
         # V1 in its weight basis: e_0 has a weight of its own under z and
         # theta and spins to the whole space both ways, so span_dim is d^2
         # with neither span computed
-        from qheisenberg import modular, reps
+        from qheisenberg import reps
         from qheisenberg.reps import build_v1
 
         path = tmp_path / "v1.json"
         path.write_text(json.dumps(build_v1(P23, 2, 3, 5).to_json()))
-        monkeypatch.setattr(modular, "span_rank", lambda mats: pytest.fail(
-            "span mod P computed"))
+        no_span_mod_p(monkeypatch)
         monkeypatch.setattr(reps, "algebra_span_dim", lambda mats: pytest.fail(
             "exact span computed"))
         assert main(["module-simple", "--in", str(path)]) == 0
@@ -500,14 +521,12 @@ class TestExitCodes:
         # V3 + V3 in its weight basis shares every weight, and the exact
         # spin of e_0 is a proper submodule, so the span mod P is never
         # needed before the exact span
-        from qheisenberg import modular
         from qheisenberg.reps import build_v3, direct_sum
 
         rep = build_v3(P23, 1)
         path = tmp_path / "sum.json"
         path.write_text(json.dumps(direct_sum(rep, rep).to_json()))
-        monkeypatch.setattr(modular, "span_rank", lambda mats: pytest.fail(
-            "span mod P computed"))
+        no_span_mod_p(monkeypatch)
         assert main(["module-simple", "--in", str(path)]) == 0
         assert json.loads(capsys.readouterr().out) == {
             "d": 12, "span_dim": 36, "simple": False}

@@ -19,7 +19,7 @@ from qheisenberg.cyclotomic import CycNumber, cyclotomic_polynomial, zeta_power
 from qheisenberg.pbw import pq_number
 from qheisenberg.linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
                                 is_invertible, joint_weights, matrix_hom_space,
-                                row_reduce, scalar_of)
+                                row_reduce, scalar_of, spin)
 from qheisenberg.reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
                               KIND_V1, KIND_V2, KIND_V3, THETA_TORSION,
                               Z_TORSION, MatrixRep, ModuleDescriptor,
@@ -29,7 +29,7 @@ from qheisenberg.reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
                               intertwiner, is_simple, iso_test, span_dim,
                               theta_matrix, verify_relations,
                               weight_certificate)
-from qheisenberg.reps import _spin_finds_submodule
+from qheisenberg.reps import _spin_finds_submodule, _spin_mod_p
 
 P23 = derive_params(2, 3, 1, 1)
 P44 = derive_params(4, 4, 1, 1)
@@ -76,6 +76,11 @@ def exact_simple(rep):
 
 def gens(rep):
     return [rep.Mx, rep.My, rep.Mz]
+
+
+def identity_seed(d):
+    """The d x d identity mod P as the seed of `linalg.spin`: key r*d + c."""
+    return {i * d + i: 1 for i in range(d)}
 
 
 class TestBuilders:
@@ -315,7 +320,7 @@ class TestSimplicity:
                 ident = FieldMatrix.identity(d, params.conductor)
                 exact = algebra_span_dim(gens(rep) + [ident])
                 assert exact == d * d
-                assert modular.span_rank(gens(rep)) <= exact
+                assert _spin_mod_p(gens(rep), identity_seed(d), d * d) <= exact
 
     def test_span_anchor_v1(self):
         rep = build_v1(P23, zeta_power(6, 1), 2, 3)
@@ -936,6 +941,48 @@ class TestCertificates:
                 assert is_simple(dense) == want, \
                     (params.m, params.n, params.k1, params.k2, rep.d)
 
+    def test_property_spin_matches_stacked_images_on_both_fields(self):
+        # seeds e_i and the identity, in the builder basis and in a dense
+        # one; the spin of the identity in a dense basis finishes up to
+        # d = 4 (at d = 5 it ran past 20 s)
+        rng = random.Random(41)
+        for params in all_params(6):
+            cond = params.conductor
+            one = CycNumber.one(cond)
+            for rep in families(params, rng):
+                for mod in (rep, integer_conjugate(rep, rng)):
+                    d, mats = mod.d, gens(mod)
+                    seeds = [({i: 1}, FieldMatrix.from_entries(
+                                 1, d, {(0, i): 1}, cond), d)
+                             for i in range(d)]
+                    if mod is rep or d <= 4:
+                        seeds.append((identity_seed(d),
+                                      FieldMatrix.identity(d, cond), d * d))
+                    for seed, stacked, full in seeds:
+                        where = (params.m, params.n, d, mod is rep, len(seed))
+                        exact = spin([g._rows for g in mats],
+                                     {k: one for k in seed}, full,
+                                     SparseEchelon(cond))
+                        assert exact == spin_by_stacking(mats, stacked), where
+                        modp = _spin_mod_p(mats, seed, full)
+                        assert modp is not None and modp <= exact, where
+
+    def test_echelon_mod_p_takes_the_exact_contract(self):
+        # insert returns the admitted row divided by its lead, or None, and
+        # entries need not be reduced mod P: P and -P are zero, P + 1 is 1
+        prime = modular._field(6)[0]
+        ech = modular.reduced([FieldMatrix.identity(2, 6)])[1]
+        assert ech.rank == 0
+        assert ech.insert({0: prime, 1: 2 * prime + 3, 2: 6}) == {1: 1, 2: 2}
+        assert ech.insert({1: prime + 1, 2: 2 - prime}) is None
+        assert ech.insert({0: -prime, 2: -prime}) is None
+        assert ech.insert({0: 2, 2: 3 * prime + 4}) == {0: 1, 2: 2}
+        assert ech.rank == 2
+        # a sum that cancels mod P leaves no lead: e_0 + e_1 times
+        # [[1], [-1]] is P, and only the seed is admitted
+        rows, spinner = modular.reduced([FieldMatrix([[1, 0], [-1, 0]], 6)])
+        assert spin(rows, {0: 1, 1: 1}, 2, spinner) == 1
+
     def test_zero_hom_certificate_matches_exact(self):
         rng = random.Random(34)
         for params in all_params(6):
@@ -1020,8 +1067,8 @@ class TestCertificates:
             return exact_span(mats)
 
         monkeypatch.setattr("qheisenberg.reps.algebra_span_dim", counted)
-        monkeypatch.setattr(modular, "span_rank", lambda mats: 0)
-        monkeypatch.setattr(modular, "spin_dim", lambda mats, i: 0)
+        monkeypatch.setattr("qheisenberg.reps._spin_mod_p",
+                            lambda gens, seed, full: 0)
         monkeypatch.setattr(modular, "independent",
                             lambda rows, conductor, full=None: [])
         monkeypatch.setattr(modular, "rank", lambda mat: 0)
@@ -1038,7 +1085,7 @@ class TestCertificates:
         prime = modular._field(6)[0]
         v1 = build_v1(P23, Fraction(1, prime), 2, 3)
         other = build_v1(P23, Fraction(1, prime), 3, 3)
-        assert modular.span_rank(gens(v1)) is None
+        assert modular.reduced(gens(v1)) is None
         assert modular.independent(hom_equations(gens(v1), gens(other)), 6) is None
         assert modular.rank(v1.Mx) is None
         assert is_simple(v1)
@@ -1084,8 +1131,7 @@ class TestCertificates:
             prime = modular._field(6)[0]
             no_reduction = reps.build_v1(params, Fraction(1, prime), 2, 3)
             print(reps.is_simple(no_reduction), len(calls))
-            modular.span_rank = lambda mats: 0
-            modular.spin_dim = lambda mats, i: 0
+            reps._spin_mod_p = lambda gens, seed, full: 0
             modular.independent = lambda rows, conductor, full=None: []
             v1 = reps.build_v1(params, 1, 2, 3)
             other = reps.build_v1(params, 1, 3, 3)
@@ -1118,6 +1164,32 @@ def assert_admits_like_exact(rows, conductor, full=None):
         exact.insert(row)
     assert len(picked) <= exact.rank
     assert full is None or len(picked) <= full
+
+
+def spin_by_stacking(mats, seed):
+    """The dimension of the spin of seed, by row_reduce on stacked images.
+
+    seed is a FieldMatrix with d columns, and each element of the spin is
+    flattened into one row of the stack.  The stack holds a basis of the
+    span so far and its images under every generator, and the rank is
+    taken again until it stops growing.
+    """
+    nrows, ncols = seed.shape
+    cond = seed.conductor
+    basis, rank = [seed], 0
+    while True:
+        stack = basis + [x * g for x in basis for g in mats]
+        rref, grown, _ = row_reduce(FieldMatrix.from_entries(
+            len(stack), nrows * ncols,
+            {(t, r * ncols + c): v for t, x in enumerate(stack)
+             for r, row in enumerate(x._rows) for c, v in row.items()}, cond))
+        if grown == rank:
+            return rank
+        rank = grown
+        basis = [FieldMatrix.from_entries(
+                     nrows, ncols, {divmod(k, ncols): v
+                                    for k, v in rref._rows[t].items()}, cond)
+                 for t in range(rank)]
 
 
 def hom_equations(mats_a, mats_b):
@@ -1404,8 +1476,8 @@ class TestWeightCertificates:
         assert rep.d == 6 and verify_relations(rep).ok
         weights = joint_weights(gens(rep) + [theta_matrix(rep)])
         assert weights.count(weights[0]) == 1
-        assert modular.spin_dim(gens(rep), 0) == 6
-        assert modular.spin_dim([g.transpose() for g in gens(rep)], 0) == 3
+        assert _spin_mod_p(gens(rep), {0: 1}, 6) == 6
+        assert _spin_mod_p([g.transpose() for g in gens(rep)], {0: 1}, 6) == 3
         assert algebra_span_dim(gens(rep)) == 27
         assert weight_certificate(rep) is False
         assert not is_simple(rep)
