@@ -6,17 +6,17 @@ matrices here have at most one nonzero entry per row (diagonal, cyclic
 shift, or shift times diagonal), so products, sums and relation residuals
 cost O(nonzeros) rather than O(l^3).  On top of it sits one exact
 elimination, `SparseEchelon`, whose pivot rows have lead entry 1.  It
-serves every exact rank, kernel and span: `row_reduce`, the space of
-intertwiners between two representations, and `spin`, the one walk that
-multiplies vectors by generators.  `spin` takes its echelon as an
-argument, so the same walk runs over F_P on `modular.reduced`'s echelon;
-the dimension of a matrix algebra is the spin of the identity.
+serves every exact rank, kernel and span: `left_kernel` (so
+`is_invertible`), intertwiner spaces, and `spin`, the one walk that
+multiplies vectors by generators; the library never calls `row_reduce`.
+`spin` takes its echelon as an argument, so the same walk runs over F_P
+on `modular.reduced`'s echelon; a matrix algebra spins from the identity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 from . import modular
 from .cyclotomic import CycNumber, _check_json_int, _sub_mul, euler_phi
@@ -306,12 +306,37 @@ def row_reduce(mat: FieldMatrix):
     return _make(mat.shape, rows, conductor), ech.rank, nullspace
 
 
+def left_kernel(mats: list[FieldMatrix]) -> list[dict]:
+    """Basis of {v : v M = 0 for every M in mats}, exact.
+
+    The n rows of the block row [M ...] (one matrix's own rows, nothing
+    transposed) independent mod P (`modular.independent`) give [] without
+    exact work.  Otherwise the columns of every M go into one `SparseEchelon`
+    and its `kernel_basis` over range(n) is returned: sparse vectors, each
+    one-hot at its largest key, as in `row_reduce`'s nullspace.
+    """
+    n, conductor = mats[0].shape[0], mats[0].conductor
+    if any(m.shape[0] != n or m.conductor != conductor for m in mats):
+        raise ValueError("left kernel needs one row count and one conductor")
+    block = mats[0]._rows
+    if len(mats) > 1:
+        starts = list(accumulate((m.shape[1] for m in mats), initial=0))
+        block = ({start + j: v for m, start in zip(mats, starts)
+                  for j, v in m._rows[i].items()} for i in range(n))
+    picked = modular.independent(block, conductor, n)
+    if picked is not None and len(picked) == n:
+        return []
+    ech = SparseEchelon(conductor)
+    for m in mats:
+        for col in m.transpose()._rows:
+            ech.insert(col)
+    return ech.kernel_basis(range(n))
+
+
 def is_invertible(mat: FieldMatrix) -> bool:
-    """Exact invertibility.  A full rank mod P proves it; a short one is rechecked exactly."""
+    """Exact invertibility: mat is square and has no nonzero `left_kernel`."""
     n, m = mat.shape
-    if n != m:
-        return False
-    return modular.rank(mat) == n or row_reduce(mat)[1] == n
+    return n == m and not left_kernel([mat])
 
 
 def scalar_of(mat: FieldMatrix) -> CycNumber | None:

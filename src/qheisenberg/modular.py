@@ -10,10 +10,10 @@ P.  So a full rank mod P proves a full exact rank, while a short rank
 mod P proves nothing.
 
 `independent` returns the positions of the sparse exact rows that are
-independent mod P, and so independent exactly; `rank` is a rank mod P.
-`reduced` gives matrices mod P and an empty F_P echelon with the exact
-echelon's contract, for `linalg.spin` to walk.  Each returns None when an
-entry has a denominator divisible by P, so that no reduction exists.  The
+independent mod P, and so independent exactly.  `reduced` gives
+matrices mod P and an empty F_P echelon with the exact echelon's
+contract, for `linalg.spin` to walk.  Each returns None when an entry
+has a denominator divisible by P, so that no reduction exists.  The
 prime and w are found once per conductor, on first use.  This module
 imports nothing from `linalg`, which imports it.
 """
@@ -188,9 +188,3 @@ def independent(rows, conductor: int, full: int | None = None) -> list[int] | No
     except _NoReduction:
         return None
     return admitted
-
-
-def rank(mat) -> int | None:
-    """Rank mod P of a FieldMatrix, or None without a reduction."""
-    rows = independent(mat._rows, mat.conductor)
-    return None if rows is None else len(rows)

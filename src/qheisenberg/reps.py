@@ -27,8 +27,8 @@ from .arith import AlgebraParams, ord_formula
 from .cyclotomic import (CycNumber, _check_json_int, nth_root_in_field,
                          roots_of_unity)
 from .linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
-                     is_invertible, joint_weights, matrix_hom_space,
-                     row_reduce, scalar_of, spin)
+                     is_invertible, joint_weights, left_kernel,
+                     matrix_hom_space, scalar_of, spin)
 from .pbw import _coerce_scalar, pq_number
 
 Z_TORSION = "Z_TORSION"
@@ -449,56 +449,33 @@ def _spin_finds_submodule(gens: list[FieldMatrix], d: int) -> bool:
                for i in range(d))
 
 
-def _on_left_kernel(op: FieldMatrix, mat: FieldMatrix, kind: str,
-                    op_name: str, space: str) -> FieldMatrix:
-    """Matrix of op on the left kernel {v : v mat = 0}, in row_reduce's basis.
+def _weight(held: list[FieldMatrix], op: FieldMatrix, exponent: int,
+            kind: str, name: str) -> CycNumber:
+    """The first candidate t with a nonzero left_kernel(held + [op - t*I]).
 
-    Each basis row is one-hot on its own free column, and in reduced row
-    echelon form that column is its last nonzero entry; the coordinates
-    of a vector in the span are its entries at those columns.
+    The candidates are the diagonal entries of op in basis order, then
+    the roots of the scalar op^exponent.  A winner has an eigenvector of
+    op in the common left kernel K of held; op is not restricted to K.
+    The verified relations make K op-invariant wherever classify calls
+    this (z commutes with theta, so a left eigenspace of Mz is
+    theta-invariant; zx = p^-1 xz, so ker Mx is Mz-invariant), so the
+    winners are the eigenvalues of op on K, roots of the central op^exponent.
     """
-    _, _, null = row_reduce(mat.transpose())
-    basis = FieldMatrix(null, mat.conductor)
-    free = [max(j for j, e in enumerate(v) if not e.is_zero()) for v in null]
-    image = basis * op
-    coords = FieldMatrix.from_entries(
-        len(free), len(free), {(i, k): row[f] for i, row in enumerate(image._rows)
-                               for k, f in enumerate(free) if f in row},
-        mat.conductor)
-    if coords * basis != image:
-        raise ValueError(f"classify {kind}: {space} is not {op_name}-invariant")
-    return coords
-
-
-def _matrix_eigenvalue(mat: FieldMatrix, exponent: int, kind: str,
-                       name: str) -> CycNumber:
-    """Some exact eigenvalue of mat, deterministically chosen.
-
-    Scans diagonal entries first (weight modules are upper-triangular in
-    a suitable order, so this almost always hits), then falls back to
-    root candidates of the scalar mat^exponent.  A candidate t is an
-    eigenvalue iff mat - t*I is singular; `is_invertible` rejects most
-    candidates by a full rank mod P, without exact elimination.
-    """
-    cond = mat.conductor
-    ident = FieldMatrix.identity(mat.shape[0], cond)
+    cond = op.conductor
+    ident = FieldMatrix.identity(op.shape[0], cond)
     zero = CycNumber.zero(cond)
-    seen = []
-    for i, row in enumerate(mat._rows):
-        t = row.get(i, zero)
-        if t in seen:
-            continue
-        seen.append(t)
-        if not is_invertible(mat - ident.scale(t)):
+    diagonal = dict.fromkeys(row.get(i, zero) for i, row in enumerate(op._rows))
+    for t in diagonal:
+        if left_kernel(held + [op - ident.scale(t)]):
             return t
-    power = scalar_of(mat ** exponent)
+    power = scalar_of(op ** exponent)
     if power is not None and not power.is_zero():
         base = nth_root_in_field(power, exponent)
         if base is not None:
             for w in roots_of_unity(cond):
                 cand = base * w
-                if cand ** exponent == power and cand not in seen:
-                    if not is_invertible(mat - ident.scale(cand)):
+                if cand ** exponent == power and cand not in diagonal:
+                    if left_kernel(held + [op - ident.scale(cand)]):
                         return cand
     raise ValueError(f"classify {kind}: no eigenvalue of {name} "
                      "in the working field")
@@ -525,17 +502,23 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
     the central scalar Mx^l or My^l and the weight scalars from a joint
     eigenvector.  Simplicity is decided first, by `is_simple`.  The result
     is self-checked: the canonical build of the returned descriptor admits
-    an exact invertible intertwiner with the input.  When ord(pq) < l
-    several weight scalars describe the same V2 module; the first weight
-    vector is used, deterministically.  Every failure names the stage:
-    "classify <kind>: ...".
+    an exact invertible intertwiner with the input.  Every failure names
+    the stage: "classify <kind>: ...".
+
+    Representative rule.  Several descriptors describe one module (a shift
+    of the weights, and more for V2 when ord(pq) < l); each weight scalar
+    is the first candidate of `_weight`, the diagonal entries in basis
+    order and then the roots of the central power, with an eigenvector on
+    the space the earlier scalars fix.  V1 reads lam from Mz and then
+    gamma from theta on the lam-eigenspace of Mz; V2 and V3 read lam from
+    Mz on the kernel of Mx; QPlaneZ reads gamma from Mx and QPlaneTheta
+    lam from My.  On a builder's own basis this returns the builder's
+    weight slots, the weights of v_0.
     """
     if not is_simple(rep):
         raise ValueError("input module is not simple")
     params = rep.params
     d = rep.d
-    cond = params.conductor
-    ident = FieldMatrix.identity(d, cond)
 
     if d == 1:
         desc = ModuleDescriptor(KIND_ONE_DIM, mu=rep.Mx[0][0],
@@ -554,14 +537,14 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
             raise ValueError(f"z-torsion module of dimension {d}, "
                              f"expected {params.n}")
         b = _scalar_root(rep.My, params.n, KIND_QPLANE_Z, "My")
-        a = _matrix_eigenvalue(rep.Mx, params.n, KIND_QPLANE_Z, "Mx")
+        a = _weight([], rep.Mx, params.n, KIND_QPLANE_Z, "Mx")
         return _self_check(rep, ModuleDescriptor(KIND_QPLANE_Z, mu=b, gamma=a))
     if th_zero:
         if d != params.m:
             raise ValueError(f"theta-torsion module of dimension {d}, "
                              f"expected {params.m}")
         a = _scalar_root(rep.Mx, params.m, KIND_QPLANE_THETA, "Mx")
-        b = _matrix_eigenvalue(rep.My, params.m, KIND_QPLANE_THETA, "My")
+        b = _weight([], rep.My, params.m, KIND_QPLANE_THETA, "My")
         return _self_check(rep, ModuleDescriptor(KIND_QPLANE_THETA, mu=a, lam=b))
 
     # torsionfree: z and theta are normal, so they must act invertibly
@@ -574,11 +557,10 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
             raise ValueError(f"x-invertible module of dimension {d}, "
                              f"expected {l}")
         mu = _scalar_root(rep.Mx, l, KIND_V1, "Mx")
-        lam = _matrix_eigenvalue(rep.Mz, params.m, KIND_V1, "Mz")
-        th_on_weight = _on_left_kernel(th, rep.Mz - ident.scale(lam), KIND_V1,
-                                       "theta", "weight space of Mz")
-        gamma = _matrix_eigenvalue(th_on_weight, params.n, KIND_V1,
-                                   "theta on the weight space")
+        lam = _weight([], rep.Mz, params.m, KIND_V1, "Mz")
+        weight_space = rep.Mz - FieldMatrix.identity(d, params.conductor).scale(lam)
+        gamma = _weight([weight_space], th, params.n, KIND_V1,
+                        "theta on the weight space")
         return _self_check(rep, ModuleDescriptor(KIND_V1, mu=mu, lam=lam,
                                                  gamma=gamma))
     if is_invertible(rep.My):
@@ -588,18 +570,15 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
         if not (rep.Mx ** l).is_zero():
             raise ValueError("classify V2: Mx is singular but not nilpotent")
         mu = _scalar_root(rep.My, l, KIND_V2, "My")
-        z_on_kernel = _on_left_kernel(rep.Mz, rep.Mx, KIND_V2, "Mz",
-                                      "kernel of Mx")
-        lam = _matrix_eigenvalue(z_on_kernel, params.m, KIND_V2,
-                                 "Mz on the kernel of Mx")
+        lam = _weight([rep.Mx], rep.Mz, params.m, KIND_V2,
+                      "Mz on the kernel of Mx")
         return _self_check(rep, ModuleDescriptor(KIND_V2, mu=mu, lam=lam))
     o = ord_formula(params.m, params.n, params.k1, params.k2)
     if d != o:
         raise ValueError(f"x,y-nilpotent module of dimension {d}, "
                          f"expected {o}")
-    z_on_kernel = _on_left_kernel(rep.Mz, rep.Mx, KIND_V3, "Mz", "kernel of Mx")
-    lam = _matrix_eigenvalue(z_on_kernel, params.m, KIND_V3,
-                             "Mz on the kernel of Mx")
+    lam = _weight([rep.Mx], rep.Mz, params.m, KIND_V3,
+                  "Mz on the kernel of Mx")
     return _self_check(rep, ModuleDescriptor(KIND_V3, lam=lam))
 
 

@@ -15,11 +15,13 @@ from hypothesis import given, settings, strategies as st
 
 from qheisenberg import modular
 from qheisenberg.arith import derive_params, ord_formula, pi_degree, valid_pairs
-from qheisenberg.cyclotomic import CycNumber, cyclotomic_polynomial, zeta_power
+from qheisenberg.cyclotomic import (CycNumber, cyclotomic_polynomial,
+                                    nth_root_in_field, roots_of_unity,
+                                    zeta_power)
 from qheisenberg.pbw import pq_number
 from qheisenberg.linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
-                                is_invertible, joint_weights, matrix_hom_space,
-                                row_reduce, scalar_of, spin)
+                                is_invertible, joint_weights, left_kernel,
+                                matrix_hom_space, row_reduce, scalar_of, spin)
 from qheisenberg.reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
                               KIND_V1, KIND_V2, KIND_V3, THETA_TORSION,
                               Z_TORSION, MatrixRep, ModuleDescriptor,
@@ -501,6 +503,51 @@ class TestClassify:
                 assert got.kind == desc.kind
                 ok, _ = iso_test(desc.kind, got, desc, P23)
                 assert ok
+        # dense round trips of every family at l <= 6
+        rng = random.Random(47)
+        for params in all_params(6):
+            for rep in families(params, rng):
+                want = classify(rep)
+                got = classify(integer_conjugate(rep, rng))
+                assert got.kind == want.kind
+                if (want.kind == KIND_V2 and params.l > ord_formula(
+                        params.m, params.n, params.k1, params.k2)):
+                    # iso_test cannot see every V2 isomorphism here
+                    # (TestV2CriterionGap)
+                    assert find_intertwiner(
+                        build_from_descriptor(params, got),
+                        build_from_descriptor(params, want)) is not None
+                else:
+                    assert iso_test(want.kind, got, want, params)[0], \
+                        (params, want, got)
+
+    def test_classify_returns_builder_weights(self):
+        # the representative rule: on a builder's own basis classify
+        # returns the builder's weight slots, the weights of v_0
+        rng = random.Random(46)
+        checked = 0
+        for params in all_params(8):
+            mu, lam, gam, a, b = sample_scalars(params, rng, 5)
+            cases = [
+                (build_v1(params, mu, lam, gam), KIND_V1,
+                 {"lam": lam, "gamma": gam}),
+                (build_v2(params, mu, lam), KIND_V2, {"lam": lam}),
+                (build_v3(params, lam), KIND_V3, {"lam": lam}),
+                (build_qplane(params, Z_TORSION, a, b), KIND_QPLANE_Z,
+                 {"gamma": a}),
+                (build_qplane(params, THETA_TORSION, a, b), KIND_QPLANE_THETA,
+                 {"lam": b}),
+            ]
+            for rep, kind, slots in cases:
+                got = classify(rep)
+                if rep.d == 1:
+                    assert got.kind == KIND_ONE_DIM
+                    continue
+                assert got.kind == kind
+                assert {slot: getattr(got, slot) for slot in slots} == slots, \
+                    (params, kind)
+                checked += 1
+        assert checked == 688
 
     def test_classify_v2_short_orbit(self):
         # ord(pq) = 2 < l = 4: several weight scalars describe this module;
@@ -1010,7 +1057,8 @@ class TestCertificates:
                             rep.Mz - ident.scale(lam),
                             integer_conjugate(rep, rng).Mx):
                     exact = row_reduce(mat)[1]
-                    assert modular.rank(mat) == exact
+                    assert len(modular.independent(
+                        mat._rows, params.conductor)) == exact
                     assert is_invertible(mat) == (exact == rep.d)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -1041,7 +1089,8 @@ class TestCertificates:
                 dense = integer_conjugate(rep, rng)
                 for mat in gens(dense) + [theta_matrix(dense)]:
                     assert_admits_like_exact(mat._rows, params.conductor)
-                    assert modular.rank(mat) <= row_reduce(mat)[1]
+                    assert len(modular.independent(
+                        mat._rows, params.conductor)) <= row_reduce(mat)[1]
                 assert_admits_like_exact(hom_equations(gens(dense), gens(rep)),
                                          params.conductor, rep.d ** 2)
 
@@ -1071,7 +1120,6 @@ class TestCertificates:
                             lambda gens, seed, full: 0)
         monkeypatch.setattr(modular, "independent",
                             lambda rows, conductor, full=None: [])
-        monkeypatch.setattr(modular, "rank", lambda mat: 0)
         v1 = build_v1(P23, zeta_power(6, 1), 2, 3)
         other = build_v1(P23, zeta_power(6, 1), 3, 3)
         assert is_simple(v1) and calls == [3]
@@ -1087,7 +1135,7 @@ class TestCertificates:
         other = build_v1(P23, Fraction(1, prime), 3, 3)
         assert modular.reduced(gens(v1)) is None
         assert modular.independent(hom_equations(gens(v1), gens(other)), 6) is None
-        assert modular.rank(v1.Mx) is None
+        assert modular.independent(v1.Mx._rows, 6) is None
         assert is_simple(v1)
         assert is_invertible(v1.Mx)
         assert find_intertwiner(v1, other) is None
@@ -1324,7 +1372,8 @@ class TestHomSpace:
         v1 = build_v1(P23, zeta_power(6, 1), 2, 3)
         twin = build_v1(P23, zeta_power(6, 1), 2 * P23.p ** 2, 3 * P23.q ** -2)
         full = [gens(v) + [theta_matrix(v)] for v in (v1, twin)]
-        # is_invertible reads modular.rank, so the stub covers the solves only
+        # is_invertible reads modular.independent too, so the stub covers
+        # the solves only
         with monkeypatch.context() as patch:
             patch.setattr(modular, "independent", no_modular_step)
             basis = matrix_hom_space(*full)
@@ -1535,3 +1584,107 @@ class TestWeightCertificates:
                     # theta lies in the algebra: the same hom space
                     assert matrix_hom_space(gens(a) + [th_a],
                                             gens(b) + [th_b]) == want, where
+
+
+def stacked(mats):
+    """The block row [M ...] as one FieldMatrix."""
+    n, cond = mats[0].shape[0], mats[0].conductor
+    entries, start = {}, 0
+    for mat in mats:
+        entries.update(((i, start + j), v) for i, row in enumerate(mat._rows)
+                       for j, v in row.items())
+        start += mat.shape[1]
+    return FieldMatrix.from_entries(n, start, entries, cond)
+
+
+def assert_left_kernel_like_row_reduce(mats):
+    """left_kernel is row_reduce's nullspace of the stacked transpose."""
+    block = stacked(mats)
+    n, cond = block.shape[0], block.conductor
+    _, rank, null = row_reduce(block.transpose())
+    got = left_kernel(mats)
+    zero, one = CycNumber.zero(cond), CycNumber.one(cond)
+    assert [tuple(v.get(i, zero) for i in range(n)) for v in got] == null
+    assert (got == []) == (rank == n)
+    for v in got:
+        top = max(v)
+        assert v[top] == one
+        assert all(top not in w for w in got if w is not v)
+
+
+def eigenvalues(mat, exponent):
+    """The eigenvalues of mat among its diagonal entries and the roots of
+    the scalar mat^exponent, decided by row_reduce."""
+    d, cond = mat.shape[0], mat.conductor
+    cands = {mat[i][i] for i in range(d)}
+    power = scalar_of(mat ** exponent)
+    if power is not None and not power.is_zero():
+        base = nth_root_in_field(power, exponent)
+        if base is not None:
+            cands.update(base * w for w in roots_of_unity(cond)
+                         if (base * w) ** exponent == power)
+    ident = FieldMatrix.identity(d, cond)
+    return [t for t in cands if row_reduce(mat - ident.scale(t))[1] < d]
+
+
+class TestLeftKernel:
+    def test_property_left_kernel_matches_row_reduce(self):
+        # Mx, My, Mz, theta and Mz - lam, and the stacked pairs that
+        # classify solves, in the builder's basis and a dense one; lam and
+        # gamma are the weights of v_0 in the builder's basis
+        rng = random.Random(44)
+        for params in all_params(6):
+            for rep in families(params, rng):
+                lam, gamma = rep.Mz[0][0], theta_matrix(rep)[0][0]
+                for mod in (rep, integer_conjugate(rep, rng)):
+                    ident = FieldMatrix.identity(mod.d, params.conductor)
+                    mz_lam = mod.Mz - ident.scale(lam)
+                    th = theta_matrix(mod)
+                    for mats in ([mod.Mx], [mod.My], [mod.Mz], [th], [mz_lam],
+                                 [mod.Mx, mz_lam],
+                                 [mz_lam, th - ident.scale(gamma)]):
+                        assert_left_kernel_like_row_reduce(mats)
+
+    def test_left_kernel_without_reduction_is_exact(self):
+        # lam = 1/P: Mx and Mz have no reduction mod P, so the kernel is
+        # solved exactly
+        prime = modular._field(6)[0]
+        v2 = build_v2(P23, 2, Fraction(1, prime))
+        assert modular.independent(v2.Mx._rows, 6) is None
+        mz_lam = v2.Mz - FieldMatrix.identity(6, 6).scale(v2.Mz[0][0])
+        assert left_kernel([v2.Mx, mz_lam])
+        for mats in ([v2.Mx], [v2.Mz], [mz_lam], [v2.Mx, mz_lam]):
+            assert_left_kernel_like_row_reduce(mats)
+
+    def test_left_kernel_rejects_mixed_row_counts(self):
+        with pytest.raises(ValueError, match="one row count"):
+            left_kernel([FieldMatrix.identity(2, 6), FieldMatrix.identity(3, 6)])
+
+    def test_weight_spaces_are_invariant(self):
+        # why classify's _weight needs no restriction to a kernel: z
+        # commutes with theta, so every left eigenspace of Mz is
+        # theta-invariant, and zx = p^-1 xz, so ker Mx is Mz-invariant
+        rng = random.Random(45)
+        for params in all_params(6):
+            cond = params.conductor
+            for rep in families(params, rng):
+                weights = eigenvalues(rep.Mz, params.m)
+                # on QPlaneTheta theta is zero, and Mz may have no
+                # eigenvalue in the working field
+                assert weights or theta_matrix(rep).is_zero()
+                for mod in (rep, integer_conjugate(rep, rng)):
+                    ident = FieldMatrix.identity(mod.d, cond)
+                    th = theta_matrix(mod)
+                    for t in weights:
+                        space = mod.Mz - ident.scale(t)
+                        _, _, null = row_reduce(space.transpose())
+                        assert null
+                        for v in null:
+                            row = FieldMatrix([v], cond)
+                            assert (row * space).is_zero()
+                            assert (row * th * space).is_zero()
+                    _, _, null = row_reduce(mod.Mx.transpose())
+                    for v in null:
+                        row = FieldMatrix([v], cond)
+                        assert (row * mod.Mx).is_zero()
+                        assert (row * mod.Mz * mod.Mx).is_zero()
