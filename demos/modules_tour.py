@@ -64,9 +64,10 @@ scaled = ModuleDescriptor(KIND_V1, mu=desc.mu, lam=2 * desc.lam,
 print("doubling lam:", iso_test(KIND_V1, desc, scaled, params))
 
 # A subtlety at orders (4, 4): there p*q has order 2 < 4, the x-action
-# of the second family develops an extra kernel vector, and modules the
-# scalar data appears to separate turn out isomorphic.  The kernel
-# solver finds the intertwiner that the scalar criterion misses.
+# of the second family develops an extra kernel vector, and modules whose
+# lam differ by p^-2 = -1 turn out isomorphic.  The scalar criterion
+# shifts a V2 weight basis by multiples of ord(pq), so it agrees with the
+# intertwiner the kernel solver finds.
 p44 = derive_params(4, 4, 1, 1)
 print(f"\nat (4, 4): ord(pq) = {ord_formula(4, 4, 1, 1)}")
 rep_a = build_v2(p44, mu=1, lam=2)

@@ -385,10 +385,6 @@ def _prime_factorization(n: int) -> dict[int, int]:
     return out
 
 
-def _is_odd_prime(n: int) -> bool:
-    return n > 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
 @dataclasses.dataclass
 class OrderReport:
     """Brute-force ord(pq) table over every admissible (k1, k2) for (m, n)."""
@@ -439,7 +435,7 @@ def classify_pair(m: int, n: int) -> str:
         raise InvalidParameters(f"no admissible parameters for (m, n) = ({m}, {n})")
     em = _prime_factorization(m)
     en = _prime_factorization(n)
-    if (m == n and _is_odd_prime(m)) or all(
+    if (m == n and em == {m: 1}) or all(
             em.get(r, 0) != en.get(r, 0) for r in set(em) | set(en)):
         return ALWAYS_MAX
     if em.get(2, 0) == en.get(2, 0) >= 1:

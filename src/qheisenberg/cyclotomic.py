@@ -403,11 +403,6 @@ class CycNumber:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational element")
-        return Fraction(self.num[0], self.den)
-
     def embed(self, conductor: int) -> CycNumber:
         """Image under Q(zeta_N) -> Q(zeta_M), zeta_N -> zeta_M^(M/N); needs N | M."""
         if conductor % self.conductor != 0:

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
 
 from . import modular
 from .arith import AlgebraParams, ord_formula
@@ -45,11 +47,11 @@ KIND_ONE_DIM = "OneDim"
 # scalar (or None), the params field whose power of it is central, and
 # each weight slot with the (a, b) of the p^a q^b it gains per shift of
 # the weight basis.  Two descriptors of one kind are isomorphic iff their
-# cycle scalars agree in that power and one shift moves every weight slot
-# of the first onto the second.
+# cycle scalars agree in that power and one shift (for V2 a multiple of
+# ord(pq)) moves every weight slot of the first onto the second.
 KIND_SCALARS = {
     KIND_V1: ("mu", "l", {"lam": (1, 0), "gamma": (0, -1)}),
-    KIND_V2: ("mu", "l", {"lam": (0, 0)}),
+    KIND_V2: ("mu", "l", {"lam": (-1, 0)}),
     KIND_V3: (None, None, {"lam": (0, 0)}),
     KIND_QPLANE_Z: ("mu", "n", {"gamma": (0, 1)}),
     KIND_QPLANE_THETA: ("mu", "m", {"lam": (1, 0)}),
@@ -450,33 +452,36 @@ def _spin_finds_submodule(gens: list[FieldMatrix], d: int) -> bool:
 
 
 def _weight(held: list[FieldMatrix], op: FieldMatrix, exponent: int,
-            kind: str, name: str) -> CycNumber:
+            kind: str, name: str) -> tuple[CycNumber, dict]:
     """The first candidate t with a nonzero left_kernel(held + [op - t*I]).
 
-    The candidates are the diagonal entries of op in basis order, then
-    the roots of the scalar op^exponent.  A winner has an eigenvector of
-    op in the common left kernel K of held; op is not restricted to K.
-    The verified relations make K op-invariant wherever classify calls
-    this (z commutes with theta, so a left eigenspace of Mz is
-    theta-invariant; zx = p^-1 xz, so ker Mx is Mz-invariant), so the
-    winners are the eigenvalues of op on K, roots of the central op^exponent.
+    Returns t and the first vector of that kernel.  The candidates are
+    the diagonal entries of op in basis order, then the roots of the
+    scalar op^exponent.  A winner has an eigenvector of op in the common
+    left kernel K of held; op is not restricted to K.  The verified
+    relations make K op-invariant wherever classify calls this (z commutes
+    with theta, so a left eigenspace of Mz is theta-invariant;
+    zx = p^-1 xz, so ker Mx is Mz-invariant), so the winners are the
+    eigenvalues of op on K, roots of the central op^exponent.
     """
     cond = op.conductor
     ident = FieldMatrix.identity(op.shape[0], cond)
     zero = CycNumber.zero(cond)
     diagonal = dict.fromkeys(row.get(i, zero) for i, row in enumerate(op._rows))
-    for t in diagonal:
-        if left_kernel(held + [op - ident.scale(t)]):
-            return t
-    power = scalar_of(op ** exponent)
-    if power is not None and not power.is_zero():
-        base = nth_root_in_field(power, exponent)
+
+    def candidates():
+        yield from diagonal
+        power = scalar_of(op ** exponent)
+        base = (nth_root_in_field(power, exponent)
+                if power is not None and not power.is_zero() else None)
         if base is not None:
-            for w in roots_of_unity(cond):
-                cand = base * w
-                if cand ** exponent == power and cand not in diagonal:
-                    if left_kernel(held + [op - ident.scale(cand)]):
-                        return cand
+            yield from (t for t in (base * w for w in roots_of_unity(cond))
+                        if t ** exponent == power and t not in diagonal)
+
+    for t in candidates():
+        kernel = left_kernel(held + [op - ident.scale(t)])
+        if kernel:
+            return t, kernel[0]
     raise ValueError(f"classify {kind}: no eigenvalue of {name} "
                      "in the working field")
 
@@ -500,20 +505,19 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
     Decides the torsion type from exact invertibility of the z and theta
     matrices, then of Mx and My; extracts the cycle scalar as a root of
     the central scalar Mx^l or My^l and the weight scalars from a joint
-    eigenvector.  Simplicity is decided first, by `is_simple`.  The result
-    is self-checked: the canonical build of the returned descriptor admits
-    an exact invertible intertwiner with the input.  Every failure names
-    the stage: "classify <kind>: ...".
+    eigenvector w_0.  Simplicity is decided first, by `is_simple`.  The
+    result is self-checked without a hom space: the `_orbit` map from the
+    canonical build, v_0 -> w_0, must be an isomorphism.  Every failure
+    names the stage: "classify <kind>: ...".
 
-    Representative rule.  Several descriptors describe one module (a shift
-    of the weights, and more for V2 when ord(pq) < l); each weight scalar
-    is the first candidate of `_weight`, the diagonal entries in basis
-    order and then the roots of the central power, with an eigenvector on
-    the space the earlier scalars fix.  V1 reads lam from Mz and then
-    gamma from theta on the lam-eigenspace of Mz; V2 and V3 read lam from
-    Mz on the kernel of Mx; QPlaneZ reads gamma from Mx and QPlaneTheta
-    lam from My.  On a builder's own basis this returns the builder's
-    weight slots, the weights of v_0.
+    Representative rule.  Several descriptors describe one module (see
+    `iso_test`); each weight scalar is the first candidate of `_weight`,
+    the diagonal entries in basis order and then the roots of the central
+    power, with an eigenvector on the space the earlier scalars fix.  V1
+    reads lam from Mz and then gamma from theta on the lam-eigenspace of
+    Mz; V2 and V3 read lam from Mz on the kernel of Mx; QPlaneZ reads
+    gamma from Mx and QPlaneTheta lam from My.  On a builder's own basis
+    this returns the builder's weight slots, the weights of v_0.
     """
     if not is_simple(rep):
         raise ValueError("input module is not simple")
@@ -523,7 +527,7 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
     if d == 1:
         desc = ModuleDescriptor(KIND_ONE_DIM, mu=rep.Mx[0][0],
                                 lam=rep.Mz[0][0], gamma=rep.My[0][0])
-        return _self_check(rep, desc)
+        return _self_check(rep, desc, {0: CycNumber.one(params.conductor)})
 
     th = theta_matrix(rep)
     z_zero = rep.Mz.is_zero()
@@ -537,15 +541,15 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
             raise ValueError(f"z-torsion module of dimension {d}, "
                              f"expected {params.n}")
         b = _scalar_root(rep.My, params.n, KIND_QPLANE_Z, "My")
-        a = _weight([], rep.Mx, params.n, KIND_QPLANE_Z, "Mx")
-        return _self_check(rep, ModuleDescriptor(KIND_QPLANE_Z, mu=b, gamma=a))
+        a, v0 = _weight([], rep.Mx, params.n, KIND_QPLANE_Z, "Mx")
+        return _self_check(rep, ModuleDescriptor(KIND_QPLANE_Z, mu=b, gamma=a), v0)
     if th_zero:
         if d != params.m:
             raise ValueError(f"theta-torsion module of dimension {d}, "
                              f"expected {params.m}")
         a = _scalar_root(rep.Mx, params.m, KIND_QPLANE_THETA, "Mx")
-        b = _weight([], rep.My, params.m, KIND_QPLANE_THETA, "My")
-        return _self_check(rep, ModuleDescriptor(KIND_QPLANE_THETA, mu=a, lam=b))
+        b, v0 = _weight([], rep.My, params.m, KIND_QPLANE_THETA, "My")
+        return _self_check(rep, ModuleDescriptor(KIND_QPLANE_THETA, mu=a, lam=b), v0)
 
     # torsionfree: z and theta are normal, so they must act invertibly
     if not is_invertible(rep.Mz) or not is_invertible(th):
@@ -557,12 +561,12 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
             raise ValueError(f"x-invertible module of dimension {d}, "
                              f"expected {l}")
         mu = _scalar_root(rep.Mx, l, KIND_V1, "Mx")
-        lam = _weight([], rep.Mz, params.m, KIND_V1, "Mz")
+        lam, _ = _weight([], rep.Mz, params.m, KIND_V1, "Mz")
         weight_space = rep.Mz - FieldMatrix.identity(d, params.conductor).scale(lam)
-        gamma = _weight([weight_space], th, params.n, KIND_V1,
-                        "theta on the weight space")
+        gamma, v0 = _weight([weight_space], th, params.n, KIND_V1,
+                            "theta on the weight space")
         return _self_check(rep, ModuleDescriptor(KIND_V1, mu=mu, lam=lam,
-                                                 gamma=gamma))
+                                                 gamma=gamma), v0)
     if is_invertible(rep.My):
         if d != l:
             raise ValueError(f"y-invertible module of dimension {d}, "
@@ -570,24 +574,48 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
         if not (rep.Mx ** l).is_zero():
             raise ValueError("classify V2: Mx is singular but not nilpotent")
         mu = _scalar_root(rep.My, l, KIND_V2, "My")
-        lam = _weight([rep.Mx], rep.Mz, params.m, KIND_V2,
-                      "Mz on the kernel of Mx")
-        return _self_check(rep, ModuleDescriptor(KIND_V2, mu=mu, lam=lam))
+        lam, v0 = _weight([rep.Mx], rep.Mz, params.m, KIND_V2,
+                          "Mz on the kernel of Mx")
+        return _self_check(rep, ModuleDescriptor(KIND_V2, mu=mu, lam=lam), v0)
     o = ord_formula(params.m, params.n, params.k1, params.k2)
     if d != o:
         raise ValueError(f"x,y-nilpotent module of dimension {d}, "
                          f"expected {o}")
-    lam = _weight([rep.Mx], rep.Mz, params.m, KIND_V3,
-                  "Mz on the kernel of Mx")
-    return _self_check(rep, ModuleDescriptor(KIND_V3, lam=lam))
+    lam, v0 = _weight([rep.Mx], rep.Mz, params.m, KIND_V3,
+                      "Mz on the kernel of Mx")
+    return _self_check(rep, ModuleDescriptor(KIND_V3, lam=lam), v0)
 
 
-def _self_check(rep: MatrixRep, desc: ModuleDescriptor) -> ModuleDescriptor:
-    canonical = build_from_descriptor(rep.params, desc)
-    if find_intertwiner(rep, canonical) is None:
+def _self_check(rep: MatrixRep, desc: ModuleDescriptor,
+                v0: dict) -> ModuleDescriptor:
+    if _orbit(build_from_descriptor(rep.params, desc), rep, v0) is None:
         raise ValueError(f"classify {desc.kind}: the descriptor does not "
                          "rebuild the input module")
     return desc
+
+
+def _orbit(source: MatrixRep, target: MatrixRep,
+           v0: dict) -> FieldMatrix | None:
+    """The matrix W with rows v0 (M_target/s)^i, if it is an isomorphism.
+
+    A canonical build's basis is the orbit v_i = v_0 (M/s)^i, where M is
+    x if Mx has a nonzero (0, 1) entry s, else y (x for V1 and QPlaneTheta,
+    y for V2, V3 and QPlaneZ; s is mu, or 1 for V3).  M_target is scaled
+    once.  W is returned only when A_source W == W A_target holds exactly
+    for x, y and z and W is invertible, else None.
+    """
+    d, cond = source.d, source.params.conductor
+    name = "Mx" if 1 in source.Mx._rows[0] else "My"
+    s = getattr(source, name)._rows[0].get(1, CycNumber.one(cond))  # default: d = 1
+    step = getattr(target, name).scale(s.inverse())
+    first = FieldMatrix.from_entries(1, d, {(0, j): c for j, c in v0.items()}, cond)
+    rows = accumulate(repeat(step, d - 1), mul, initial=first)
+    mat = FieldMatrix.from_entries(d, d, {(i, j): c for i, row in enumerate(rows)
+                                          for j, c in row._rows[0].items()}, cond)
+    if all(getattr(source, g) * mat == mat * getattr(target, g)
+           for g in ("Mx", "My", "Mz")) and is_invertible(mat):
+        return mat
+    return None
 
 
 def iso_test(kind: str, desc_a: ModuleDescriptor, desc_b: ModuleDescriptor,
@@ -599,7 +627,9 @@ def iso_test(kind: str, desc_a: ModuleDescriptor, desc_b: ModuleDescriptor,
     and k is the smallest shift, below that power's exponent (below 1
     without a cycle), that multiplies every weight slot of desc_a by its
     p^(ka) q^(kb) onto desc_b.  For V1, lam_b = p^k lam_a and
-    gamma_b = q^{-k} gamma_a; V2, V3 and OneDim admit only k = 0.
+    gamma_b = q^{-k} gamma_a; for V2, lam_b = p^{-k} lam_a with k a
+    multiple of ord(pq), so only k = 0 when ord(pq) = l; V3 and OneDim
+    admit only k = 0.
     """
     if desc_a.kind != kind or desc_b.kind != kind:
         raise ValueError("kind mismatch between descriptors")
@@ -611,7 +641,9 @@ def iso_test(kind: str, desc_a: ModuleDescriptor, desc_b: ModuleDescriptor,
         period = getattr(params, central)
         if getattr(desc_a, cycle) ** period != getattr(desc_b, cycle) ** period:
             return False, None
-    for k in range(period):
+    stride = (ord_formula(params.m, params.n, params.k1, params.k2)
+              if kind == KIND_V2 else 1)
+    for k in range(0, period, stride):
         if all(getattr(desc_b, slot)
                == params.power(k * a, k * b) * getattr(desc_a, slot)
                for slot, (a, b) in weights.items()):
@@ -624,53 +656,30 @@ def intertwiner(kind: str, desc_a: ModuleDescriptor,
                 params: AlgebraParams) -> FieldMatrix:
     """Explicit invertible P with M_a P = P M'_a for the witness k.
 
-    Realizes psi(v_i) = (mu^{-1} mu')^i v_{i-k} on the weight bases, with
-    the ratio 1 for a kind without a cycle slot; the result is verified
-    exactly against both canonical builds before it is returned.
+    The `_orbit` map from the canonical build of desc_a that sends v_0 to
+    v_{-k} of desc_b's: psi(v_i) = (mu^{-1} mu')^i v_{i-k}, with the ratio
+    1 for a kind without a cycle slot, verified exactly against both builds.
     """
     ok, _ = iso_test(kind, desc_a, desc_b, params)
     if not ok:
         raise ValueError("called on a non-isomorphic pair")
     rep_a = build_from_descriptor(params, desc_a)
-    rep_b = build_from_descriptor(params, desc_b)
-    d = rep_a.d
-    cond = params.conductor
-    cycle, _, _ = KIND_SCALARS[kind]
-    ratio = CycNumber.one(cond)
-    if cycle is not None:
-        ratio = getattr(desc_a, cycle).inverse() * getattr(desc_b, cycle)
-    entries = {}
-    cur = CycNumber.one(cond)
-    for i in range(d):
-        entries[(i, (i - k) % d)] = cur
-        cur = cur * ratio
-    mat = FieldMatrix.from_entries(d, d, entries, cond)
-    for a_mat, b_mat in ((rep_a.Mx, rep_b.Mx), (rep_a.My, rep_b.My),
-                         (rep_a.Mz, rep_b.Mz)):
-        if a_mat * mat != mat * b_mat:
-            raise ValueError("intertwiner formula failed verification")
-    if not is_invertible(mat):
-        raise ValueError("intertwiner formula produced a singular matrix")
+    mat = _orbit(rep_a, build_from_descriptor(params, desc_b),
+                 {-k % rep_a.d: CycNumber.one(params.conductor)})
+    if mat is None:
+        raise ValueError("intertwiner formula failed verification")
     return mat
 
 
 def find_intertwiner(rep_a: MatrixRep, rep_b: MatrixRep) -> FieldMatrix | None:
     """Solve the intertwining equations exactly; None if only P = 0.
 
-    When the theta matrices of both modules are diagonal, the pair
-    (theta_a, theta_b) joins the generator lists: theta is an element of
-    the algebra, so the hom space is unchanged, and its weights narrow
-    the weight support of `matrix_hom_space`.  There, a matrix diagonal
-    on both sides proves that P vanishes except between basis vectors of
-    equal joint weight, and only the equations on that support are
-    solved, exactly; an empty support proves P = 0.  Without a diagonal
-    pair (a dense basis), `matrix_hom_space` reads the zero-hom
-    certificate: if the equations have full rank modulo a prime, only
-    P = 0 solves them and no exact elimination runs.  Otherwise it solves
-    the equations independent mod the prime exactly and verifies each
-    basis matrix exactly, inserting every equation if a check fails.  For
-    simple inputs a nonzero solution is automatically invertible (Schur);
-    a nonzero singular solution means some input was not simple, and is
+    The hom space is `matrix_hom_space`'s.  When the theta matrices of
+    both modules are diagonal, the pair (theta_a, theta_b) joins the
+    generator lists: theta is an element of the algebra, so the hom space
+    is unchanged, and its weights narrow the weight support.  For simple
+    inputs a nonzero solution is automatically invertible (Schur); a
+    nonzero singular solution means some input was not simple, and is
     reported as an error.
     """
     if rep_a.params != rep_b.params:

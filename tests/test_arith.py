@@ -30,7 +30,6 @@ from qheisenberg.arith import (
     smith_normal_form,
     valid_pairs,
 )
-from qheisenberg.arith import _is_odd_prime
 from qheisenberg.cyclotomic import order_of_unit, zeta_power
 
 
@@ -282,11 +281,6 @@ def test_invariant_checks_survive_optimize_flag():
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == ("ord_pq(m=2, n=3, k1=1, k2=1): formula gives 6, "
                                   "the field element has order 5")
-
-
-def test_is_odd_prime_small_values():
-    primes = [n for n in range(200) if n > 1 and all(n % d for d in range(2, n))]
-    assert [n for n in range(200) if _is_odd_prime(n)] == primes[1:]
 
 
 def test_ord_denominator_prime_structure():

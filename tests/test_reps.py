@@ -13,7 +13,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from qheisenberg import modular
+from qheisenberg import modular, reps
 from qheisenberg.arith import derive_params, ord_formula, pi_degree, valid_pairs
 from qheisenberg.cyclotomic import (CycNumber, cyclotomic_polynomial,
                                     nth_root_in_field, roots_of_unity,
@@ -510,16 +510,8 @@ class TestClassify:
                 want = classify(rep)
                 got = classify(integer_conjugate(rep, rng))
                 assert got.kind == want.kind
-                if (want.kind == KIND_V2 and params.l > ord_formula(
-                        params.m, params.n, params.k1, params.k2)):
-                    # iso_test cannot see every V2 isomorphism here
-                    # (TestV2CriterionGap)
-                    assert find_intertwiner(
-                        build_from_descriptor(params, got),
-                        build_from_descriptor(params, want)) is not None
-                else:
-                    assert iso_test(want.kind, got, want, params)[0], \
-                        (params, want, got)
+                assert iso_test(want.kind, got, want, params)[0], \
+                    (params, want, got)
 
     def test_classify_returns_builder_weights(self):
         # the representative rule: on a builder's own basis classify
@@ -612,12 +604,47 @@ class TestClassify:
         assert str(err.value) == message
 
     def test_classify_error_names_failed_self_check(self, monkeypatch):
-        monkeypatch.setattr("qheisenberg.reps.find_intertwiner",
-                            lambda a, b: None)
+        monkeypatch.setattr("qheisenberg.reps._orbit",
+                            lambda source, target, v0: None)
         with pytest.raises(ValueError) as err:
             classify(build_v3(P23, 1))
         assert str(err.value) == ("classify V3: the descriptor does not "
                                   "rebuild the input module")
+
+    def test_self_check_rejects_a_wrong_weight_vector(self, monkeypatch):
+        # e_1 of a V1 build has the weight (p lam, q^-1 gamma), not the
+        # weight of v_0 in the canonical build of (mu, lam, gamma): its
+        # orbit is an invertible matrix that does not intertwine
+        rep = build_v1(P23, zeta_power(6, 1), 2, 3)
+        one = CycNumber.one(6)
+        assert reps._orbit(rep, rep, {0: one}) == FieldMatrix.identity(6, 6)
+        assert reps._orbit(rep, rep, {1: one}) is None
+        weight = reps._weight
+        monkeypatch.setattr("qheisenberg.reps._weight",
+                            lambda *args: (weight(*args)[0], {1: one}))
+        with pytest.raises(ValueError) as err:
+            classify(rep)
+        assert str(err.value) == ("classify V1: the descriptor does not "
+                                  "rebuild the input module")
+
+    def test_classify_solves_no_hom_space(self, monkeypatch):
+        # the self-check is the explicit orbit map, in the builder basis
+        # and in a dense one; no intertwining equations are solved
+        def refuse(*args):
+            raise AssertionError("classify solved a hom space")
+
+        monkeypatch.setattr("qheisenberg.reps.matrix_hom_space", refuse)
+        monkeypatch.setattr("qheisenberg.linalg.matrix_hom_space", refuse)
+        rng = random.Random(18)
+        kinds = set()
+        for params in (P23, P44, P24, P13):
+            for rep in families(params, rng):
+                want = classify(rep)
+                got = classify(integer_conjugate(rep, rng))
+                assert iso_test(want.kind, got, want, params)[0]
+                kinds.add(want.kind)
+        assert kinds == {KIND_V1, KIND_V2, KIND_V3, KIND_QPLANE_Z,
+                         KIND_QPLANE_THETA, KIND_ONE_DIM}
 
 
 class TestIsoV1:
@@ -764,14 +791,14 @@ class TestIsoV2V3:
 
 
 class TestV2CriterionGap:
-    """The quoted V2 scalar criterion is sound only when ord(pq) = l.
+    """V2 modules shift by multiples of ord(pq), a gap in the quoted criterion.
 
     At (4,4,1,1), ord(pq) = 2 < l = 4 and the x-action coefficient
     vanishes at index 2, so the module has a second x-kernel weight
     vector.  An exact kernel solve produces an invertible intertwiner
-    between the lambda and -lambda builds even though the scalar
-    criterion separates them.  The negative V2 cases above therefore
-    use parameters with ord(pq) = l.
+    between the lambda and -lambda = p^-2 lambda builds, which a
+    criterion comparing lambda alone separates.  `iso_test` shifts the
+    V2 weight basis by multiples of ord(pq) and finds the witness k = 2.
     """
 
     def test_extra_isomorphism_exists(self):
@@ -789,8 +816,10 @@ class TestV2CriterionGap:
             assert ma * p == p * mb
         desc_a = ModuleDescriptor(KIND_V2, mu=CycNumber.one(4), lam=lam)
         desc_b = ModuleDescriptor(KIND_V2, mu=CycNumber.one(4), lam=-lam)
-        ok, _ = iso_test(KIND_V2, desc_a, desc_b, P44)
-        assert not ok  # the criterion as quoted cannot see this pair
+        ok, k = iso_test(KIND_V2, desc_a, desc_b, P44)
+        assert ok and k == 2
+        assert intertwiner(KIND_V2, desc_a, desc_b, k, P44) == p.scale(
+            p[0][2].inverse())
 
     def test_no_such_pair_at_full_order(self):
         lam = CycNumber.from_rational(6, 2)
@@ -859,14 +888,15 @@ def iso_cases(params, rng):
     The twin twists the cycle scalar by a root of unity whose order
     divides the exponent of its central power (l for V1 and V2, n for
     QPlaneZ, m for QPlaneTheta) and shifts the weights by a random k:
-    V1 by (p^k, q^-k), QPlaneZ by q^k and QPlaneTheta by p^k.  The third
-    descriptor doubles a weight (for OneDim the x scalar), which no shift
-    or twist undoes.  V2 is left out below ord(pq) = l, where the scalar
-    criterion is not sound (TestV2CriterionGap).
+    V1 by (p^k, q^-k), QPlaneZ by q^k and QPlaneTheta by p^k, and V2 by
+    p^-j for j the largest multiple of ord(pq) up to k (TestV2CriterionGap).
+    The third descriptor doubles a weight (for OneDim the x scalar), which
+    no shift or twist undoes.
     """
     cond = params.conductor
     mu, lam, gam = sample_scalars(params, rng, 3)
     k = rng.randrange(params.l)
+    j = k - k % ord_formula(params.m, params.n, params.k1, params.k2)
 
     def twist(order):
         return mu * zeta_power(cond, cond // order * rng.randrange(order))
@@ -891,11 +921,11 @@ def iso_cases(params, rng):
         (ModuleDescriptor(KIND_ONE_DIM, mu=mu, lam=zero, gamma=zero),
          ModuleDescriptor(KIND_ONE_DIM, mu=mu, lam=zero, gamma=zero),
          ModuleDescriptor(KIND_ONE_DIM, mu=2 * mu, lam=zero, gamma=zero)),
+        (ModuleDescriptor(KIND_V2, mu=mu, lam=lam),
+         ModuleDescriptor(KIND_V2, mu=twist(params.l),
+                          lam=lam * params.power(-j, 0)),
+         ModuleDescriptor(KIND_V2, mu=mu, lam=2 * lam)),
     ]
-    if ord_formula(params.m, params.n, params.k1, params.k2) == params.l:
-        cases.append((ModuleDescriptor(KIND_V2, mu=mu, lam=lam),
-                      ModuleDescriptor(KIND_V2, mu=twist(params.l), lam=lam),
-                      ModuleDescriptor(KIND_V2, mu=mu, lam=2 * lam)))
     return cases
 
 
@@ -925,8 +955,32 @@ class TestIsoProperty:
                         with pytest.raises(ValueError):
                             intertwiner(kind, a, b, smaller, params)
         # every shifting kind met a witness above 0
-        assert {(KIND_V1, True), (KIND_QPLANE_Z, True),
+        assert {(KIND_V1, True), (KIND_V2, True), (KIND_QPLANE_Z, True),
                 (KIND_QPLANE_THETA, True)} <= seen
+
+    def test_intertwiner_is_the_closed_form(self):
+        # psi(v_i) = (mu^-1 mu')^i v_{i-k}, the ratio 1 without a cycle
+        # slot, on every isomorphic pair of iso_cases with l <= 8
+        rng = random.Random(44)
+        count = 0
+        for params in all_params(8):
+            cond = params.conductor
+            for a, twin_b, _ in iso_cases(params, rng):
+                kind = a.kind
+                for b in (a, twin_b):
+                    ok, k = iso_test(kind, a, b, params)
+                    assert ok
+                    d = build_from_descriptor(params, a).d
+                    ratio = (CycNumber.one(cond)
+                             if kind in (KIND_V3, KIND_ONE_DIM)
+                             else b.mu * a.mu.inverse())
+                    want = FieldMatrix.from_entries(
+                        d, d, {(i, (i - k) % d): ratio ** i for i in range(d)},
+                        cond)
+                    assert intertwiner(kind, a, b, k, params) == want, \
+                        (params, kind, k)
+                    count += 1
+        assert count == 12 * len(all_params(8))
 
 
 class TestSerialization:
@@ -1408,6 +1462,19 @@ class TestDenseBasis:
         rep = direct_sum(build_v1(params, 2, 3, 5), build_v1(params, 3, 5, 7))
         assert rep.d == 40
         assert not is_simple(rep)
+
+    @pytest.mark.parametrize("build", [lambda p: build_v1(p, 2, 3, 5),
+                                       lambda p: build_v2(p, 2, 3)],
+                             ids=["V1", "V2"])
+    def test_classify_on_dense_l12_conjugate(self, build):
+        params = derive_params(4, 3)
+        rep = build(params)
+        want = classify(rep)
+        dense = integer_conjugate(rep, random.Random(1))
+        assert dense.d == 12 and len(dense.Mx._rows[0]) > 6
+        got = classify(dense)
+        assert got.kind == want.kind
+        assert iso_test(want.kind, got, want, params)[0]
 
     @staticmethod
     def weight_kernel_input(m, n):
