@@ -499,6 +499,8 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
+        if [] in vars(args).values():  # Python 3.11's argparse: --opt=-- is []
+            _shared_parser().error("an option given as --opt=-- has no value")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -477,15 +477,63 @@ def spin(gens: list, seed: dict, full: int, ech) -> int:
     return ech.rank
 
 
+def _spin_mod_p(gens: list[FieldMatrix], seed: dict, full: int) -> int | None:
+    # The `spin` of seed mod P, up to full, or None without a reduction: a
+    # full spin mod P proves a full exact spin, a short one proves nothing.
+    reduced = modular.reduced(gens)
+    if reduced is None:
+        return None
+    return spin(reduced[0], seed, full, reduced[1])
+
+
 def algebra_span_dim(mats: list[FieldMatrix]) -> int:
     """Dimension of the unital algebra generated by the given matrices.
 
-    It is the `spin` of the identity, read as d^2 entries.
+    The matrices are block diagonal on the connected components of the
+    graph with an edge i - j per nonzero (i, j) entry.  With several, a
+    block joins the class of an earlier one of its size with a nonzero
+    `matrix_hom_space` to it, or else must span all b x b matrices mod P,
+    hence exactly; the value is then the sum of b^2 over the classes
+    (Schur, Wedderburn).  Otherwise, or if a span is short mod P or has
+    no reduction, it is the exact `spin` of the identity as d^2 entries.
     """
     d, conductor = _generator_size(mats)
+    rows = [g._rows for g in mats]
     one = CycNumber.one(conductor)
-    return spin([g._rows for g in mats], {i * d + i: one for i in range(d)},
-                d * d, SparseEchelon(conductor))
+    return _block_span(rows, d, conductor) or spin(
+        rows, {i * d + i: one for i in range(d)}, d * d, SparseEchelon(conductor))
+
+
+def _block_span(rows: list, d: int, conductor: int) -> int | None:
+    # algebra_span_dim's sum over classes, or None; blocks by union-find
+    root = list(range(d))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for g in rows:
+        for i, row in enumerate(g):
+            for j in row:
+                root[find(i)] = find(j)
+    blocks: dict = {}
+    for i in range(d):
+        blocks.setdefault(find(i), []).append(i)
+    if len(blocks) == 1:
+        return None
+    classes: list[list[FieldMatrix]] = []
+    for idx in blocks.values():
+        b = len(idx)
+        at = {i: k for k, i in enumerate(idx)}
+        block = [_make((b, b), [{at[j]: v for j, v in g[i].items()}
+                                for i in idx], conductor) for g in rows]
+        if any(matrix_hom_space(c, block) for c in classes if c[0].shape == (b, b)):
+            continue
+        if _spin_mod_p(block, {k * b + k: 1 for k in range(b)}, b * b) != b * b:
+            return None
+        classes.append(block)
+    return sum(c[0].shape[0] ** 2 for c in classes)
 
 
 def joint_weights(mats: list[FieldMatrix]) -> list[tuple]:

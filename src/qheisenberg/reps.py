@@ -24,13 +24,12 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
 
-from . import modular
 from .arith import AlgebraParams, ord_formula
 from .cyclotomic import (CycNumber, _check_json_int, nth_root_in_field,
                          roots_of_unity)
-from .linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
-                     is_invertible, joint_weights, left_kernel,
-                     matrix_hom_space, scalar_of, spin)
+from .linalg import (FieldMatrix, SparseEchelon, _spin_mod_p,
+                     algebra_span_dim, is_invertible, joint_weights,
+                     left_kernel, matrix_hom_space, scalar_of, spin)
 from .pbw import _coerce_scalar, pq_number
 
 Z_TORSION = "Z_TORSION"
@@ -362,7 +361,8 @@ def span_dim(rep: MatrixRep) -> int:
       weight certificate did not return None) it runs before the span
       mod P, since a reducible weight module usually shows one at once.
 
-    Otherwise the exact span of `algebra_span_dim` is the value.  No answer
+    Otherwise `algebra_span_dim` is the value; it splits block-diagonal
+    generators into simple blocks before its exact span.  No answer
     is read from a short spin mod P; the relations are not checked.  The
     outcome of this ladder is computed once per module object and shared
     with `is_simple`; the exact span that follows a submodule found by a
@@ -430,16 +430,6 @@ def weight_certificate(rep: MatrixRep) -> bool | None:
     d = rep.d
     return (_spin_mod_p(gens, {i: 1}, d) == d
             and _spin_mod_p([g.transpose() for g in gens], {i: 1}, d) == d)
-
-
-def _spin_mod_p(gens: list[FieldMatrix], seed: dict, full: int) -> int | None:
-    # The `spin` of seed mod P, up to full, or None without a reduction.
-    # A rank can only fall under reduction, so a full spin mod P proves a
-    # full exact spin; a short one proves nothing.
-    reduced = modular.reduced(gens)
-    if reduced is None:
-        return None
-    return spin(reduced[0], seed, full, reduced[1])
 
 
 def _spin_finds_submodule(gens: list[FieldMatrix], d: int) -> bool:

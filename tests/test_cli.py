@@ -27,7 +27,11 @@ P23 = derive_params(2, 3, 1, 1)
 
 
 def no_span_mod_p(monkeypatch):
-    """Fail if the ladder spins the identity mod P; spins of e_i still run."""
+    """Fail if the ladder spins the identity mod P; spins of e_i still run.
+
+    The ladder reads `_spin_mod_p` by the name reps imports from linalg, so
+    the mod-P spins of the blocks inside `algebra_span_dim` still run.
+    """
     from qheisenberg import reps
     spin_mod_p = reps._spin_mod_p
 
@@ -531,6 +535,26 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().out) == {
             "d": 12, "span_dim": 36, "simple": False}
 
+    def test_module_simple_splits_a_builder_basis_sum(self, tmp_path):
+        # QPlaneTheta + V1 in the builders' basis: two blocks, each full
+        # mod P and of different size, so span_dim is 2^2 + 6^2 without the
+        # exact spin of the whole identity, which ran past 90 s
+        import time
+        from qheisenberg.reps import (THETA_TORSION, build_qplane, build_v1,
+                                      direct_sum)
+
+        rep = direct_sum(build_qplane(P23, THETA_TORSION, 2, 3),
+                         build_v1(P23, 2, 3, 5))
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps(rep.to_json()))
+        out = io.StringIO()
+        start = time.perf_counter()
+        code, err = _run_main_with_watchdog(
+            ["module-simple", "--in", str(path), "--format", "table"], out)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert out.getvalue() == "d: 8\nspan_dim: 40\nsimple: false\n"
+
     def test_non_simple_module_is_domain_error(self, tmp_path, capsys):
         import io
         from contextlib import redirect_stdout
@@ -609,8 +633,11 @@ class _Hang(Exception):
     pass
 
 
-def _run_main_with_watchdog(argv):
-    """main(argv) -> (exit code, stderr); _Hang past _FUZZ_SECONDS."""
+def _run_main_with_watchdog(argv, out=None):
+    """main(argv) -> (exit code, stderr); _Hang past _FUZZ_SECONDS.
+
+    stdout goes to out when it is given, else it is dropped.
+    """
     def expire(signum, frame):
         raise _Hang(f"main({argv!r}) ran past {_FUZZ_SECONDS} s")
 
@@ -618,7 +645,7 @@ def _run_main_with_watchdog(argv):
     signal.setitimer(signal.ITIMER_REAL, _FUZZ_SECONDS)
     err = io.StringIO()
     try:
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        with redirect_stdout(out or io.StringIO()), redirect_stderr(err):
             code = main(argv)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
@@ -655,6 +682,20 @@ class TestFuzz:
     def test_normal_form_expressions(self, expr, pair, dashes):
         argv = ["normal-form", "--m", str(pair[0]), "--n", str(pair[1])]
         _assert_clean_exit(argv + (["--", expr] if dashes else [expr]))
+
+    @pytest.mark.parametrize("argv", [
+        ["order", "--m=--", "--n", "3"],
+        ["module-simple", "--in=--"],
+        ["module-build", "--m", "2", "--n", "3", "--kind", "OneDim",
+         "--mu=--", "--lam=1", "--gamma=1"],
+    ])
+    def test_option_value_of_two_dashes_is_an_error(self, argv):
+        # Python 3.11's argparse reads --opt=-- as [], which reached the
+        # scalar parser as a list and ended in a traceback (found by
+        # test_module_build_scalars); other versions may read "--"
+        code, err = _run_main_with_watchdog(argv)
+        assert code in (1, 2) and err.count("error: ") == 1, (argv, err)
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("expr", _POWERS_BEYOND_CAPS)
     def test_power_beyond_caps_is_one_error_line(self, expr):

@@ -13,7 +13,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from qheisenberg import modular, reps
+from qheisenberg import linalg, modular, reps
 from qheisenberg.arith import derive_params, ord_formula, pi_degree, valid_pairs
 from qheisenberg.cyclotomic import (CycNumber, cyclotomic_polynomial,
                                     nth_root_in_field, roots_of_unity,
@@ -31,7 +31,8 @@ from qheisenberg.reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
                               intertwiner, is_simple, iso_test, span_dim,
                               theta_matrix, verify_relations,
                               weight_certificate)
-from qheisenberg.reps import _spin_finds_submodule, _spin_mod_p
+from qheisenberg.linalg import _spin_mod_p
+from qheisenberg.reps import _spin_finds_submodule
 
 P23 = derive_params(2, 3, 1, 1)
 P44 = derive_params(4, 4, 1, 1)
@@ -71,9 +72,18 @@ def families(params, rng):
             build_qplane(params, THETA_TORSION, a, b)]
 
 
+def spin_span(mats):
+    """The oracle for `algebra_span_dim`: the exact spin of the whole
+    identity over a `SparseEchelon`, with no block split."""
+    d, cond = mats[0].shape[0], mats[0].conductor
+    one = CycNumber.one(cond)
+    return spin([g._rows for g in mats], {i * d + i: one for i in range(d)},
+                d * d, SparseEchelon(cond))
+
+
 def exact_simple(rep):
     ident = FieldMatrix.identity(rep.d, rep.params.conductor)
-    return algebra_span_dim([rep.Mx, rep.My, rep.Mz, ident]) == rep.d ** 2
+    return spin_span([rep.Mx, rep.My, rep.Mz, ident]) == rep.d ** 2
 
 
 def gens(rep):
@@ -1170,8 +1180,11 @@ class TestCertificates:
             return exact_span(mats)
 
         monkeypatch.setattr("qheisenberg.reps.algebra_span_dim", counted)
-        monkeypatch.setattr("qheisenberg.reps._spin_mod_p",
-                            lambda gens, seed, full: 0)
+        # the ladder reads _spin_mod_p by the name reps imports; the block
+        # split of algebra_span_dim reads linalg's
+        for where in ("qheisenberg.reps._spin_mod_p",
+                      "qheisenberg.linalg._spin_mod_p"):
+            monkeypatch.setattr(where, lambda gens, seed, full: 0)
         monkeypatch.setattr(modular, "independent",
                             lambda rows, conductor, full=None: [])
         v1 = build_v1(P23, zeta_power(6, 1), 2, 3)
@@ -1223,7 +1236,7 @@ class TestCertificates:
         code = textwrap.dedent("""
             from fractions import Fraction
             import qheisenberg.reps as reps
-            from qheisenberg import modular
+            from qheisenberg import linalg, modular
             from qheisenberg.arith import derive_params
             assert False, "asserts are active"
             calls = []
@@ -1233,7 +1246,7 @@ class TestCertificates:
             prime = modular._field(6)[0]
             no_reduction = reps.build_v1(params, Fraction(1, prime), 2, 3)
             print(reps.is_simple(no_reduction), len(calls))
-            reps._spin_mod_p = lambda gens, seed, full: 0
+            reps._spin_mod_p = linalg._spin_mod_p = lambda gens, seed, full: 0
             modular.independent = lambda rows, conductor, full=None: []
             v1 = reps.build_v1(params, 1, 2, 3)
             other = reps.build_v1(params, 1, 3, 3)
@@ -1613,7 +1626,7 @@ class TestWeightCertificates:
             known_cases = [(t, True) for t in twins] + [(s, False) for s in sums]
             for rep, known in known_cases:
                 if params.l <= 6:
-                    exact = algebra_span_dim(gens(rep))
+                    exact = spin_span(gens(rep))
                     assert (exact == rep.d ** 2) == known
                     assert span_dim(rep) == exact, (params.m, params.n, rep.d)
                 assert is_simple(rep) == known, (params.m, params.n, rep.d)
@@ -1622,7 +1635,7 @@ class TestWeightCertificates:
                 # the simple ones keep the span of their canonical build
                 exact = True
                 if rep.d <= 4:
-                    span = algebra_span_dim(gens(rep))
+                    span = spin_span(gens(rep))
                     assert span_dim(rep) == span, (params.m, params.n, rep.d)
                     exact = span == rep.d ** 2
                 assert is_simple(rep) == exact, (params.m, params.n, rep.d)
@@ -1755,3 +1768,89 @@ class TestLeftKernel:
                         row = FieldMatrix([v], cond)
                         assert (row * mod.Mx).is_zero()
                         assert (row * mod.Mz * mod.Mx).is_zero()
+
+
+def interleaved(rep):
+    """rep with its even basis vectors first: a permutation conjugate, so
+    the blocks of a direct sum are no longer contiguous."""
+    d, cond = rep.d, rep.params.conductor
+    order = list(range(0, d, 2)) + list(range(1, d, 2))
+    u = FieldMatrix.from_entries(d, d, {(i, k): 1 for i, k in enumerate(order)},
+                                 cond)
+    return conjugate(rep, u, u.transpose())
+
+
+def summed(*parts):
+    out = parts[0]
+    for part in parts[1:]:
+        out = direct_sum(out, part)
+    return out
+
+
+# QPlaneTheta + V1 at (2, 3) as a module file ran `module-simple` past 90 s
+FOUND_SUMS = [((m, n), kind) for m, n in ((2, 3), (3, 2), (3, 6), (5, 1), (5, 5))
+              for kind in (KIND_V1, KIND_V2, KIND_V3)] + [((5, 5), KIND_QPLANE_Z)]
+
+
+class TestBlockSplit:
+    """algebra_span_dim on block-diagonal generators against the unsplit spin."""
+
+    def test_property_split_matches_spin_oracle(self):
+        rng = random.Random(19)
+        kinds = (KIND_V1, KIND_V2, KIND_V3, KIND_QPLANE_Z, KIND_QPLANE_THETA)
+        for params in all_params(6):
+            scalars = sample_scalars(params, rng, 5)
+            mu, lam, gam, a, b = scalars
+            v1, v2, v3, qz, qt = (
+                build_v1(params, mu, lam, gam), build_v2(params, mu, lam),
+                build_v3(params, lam), build_qplane(params, Z_TORSION, a, b),
+                build_qplane(params, THETA_TORSION, a, b))
+            tw = [twin(params, kind, scalars, rng) for kind in kinds]
+            one_a = build_one_dim(params, mu, 0, 0)
+            one_b = build_one_dim(params, 2 * mu, 0, 0)
+            cases = [summed(v3, qz), summed(v2, tw[1], one_b),
+                     summed(qt, tw[4]), summed(qz, tw[3], v3),
+                     summed(one_a, one_b), summed(one_a, one_a),
+                     summed(one_a, one_b, one_a), summed(v3, qz, one_a),
+                     # a block that is not simple: the exact spin answers
+                     summed(ladder(params, lam), one_a)]
+            for pair in (summed(v1, v2), summed(v1, tw[0])):
+                cases += [pair, interleaved(pair)]
+            for rep in cases:
+                assert algebra_span_dim(gens(rep)) == spin_span(gens(rep)), \
+                    (params.m, params.n, params.k1, params.k2, rep.d)
+
+    def test_connected_input_solves_no_hom_space(self, monkeypatch):
+        # one block: the exact spin of the identity runs as before
+        monkeypatch.setattr(linalg, "matrix_hom_space", lambda a, b: pytest.fail(
+            "hom space solved"))
+        monkeypatch.setattr(linalg, "_spin_mod_p", lambda gens, seed, full:
+                            pytest.fail("block spun mod P"))
+        rng = random.Random(20)
+        for params in all_params(5):
+            for rep in families(params, rng):
+                assert algebra_span_dim(gens(rep)) == rep.d ** 2
+            mu = sample_scalars(params, rng, 1)[0]
+            dense = integer_conjugate(summed(build_one_dim(params, mu, 0, 0),
+                                             build_one_dim(params, 2 * mu, 0, 0)),
+                                      rng)
+            # only Mx is nonzero, and an off-diagonal entry joins 0 and 1
+            assert not dense.Mx.is_diagonal()
+            assert algebra_span_dim(gens(dense)) == spin_span(gens(dense)) == 2
+
+    def test_no_reduction_takes_the_exact_spin(self, monkeypatch):
+        monkeypatch.setattr(modular, "reduced", lambda mats: None)
+        for rep in (summed(build_v1(P23, 2, 3, 5), build_v2(P23, 2, 3)),
+                    summed(build_v3(P23, 1), build_v3(P23, 1))):
+            assert algebra_span_dim(gens(rep)) == spin_span(gens(rep))
+
+    @pytest.mark.parametrize("pair,kind", FOUND_SUMS,
+                             ids=[f"{m},{n}-{kind}" for (m, n), kind in FOUND_SUMS])
+    def test_theta_torsion_sum_span(self, pair, kind):
+        params = derive_params(*pair)
+        a = build_qplane(params, THETA_TORSION, 2, 3)
+        b = build_from_descriptor(params, ModuleDescriptor(
+            kind, mu=CycNumber.from_rational(params.conductor, 2),
+            lam=CycNumber.from_rational(params.conductor, 3),
+            gamma=CycNumber.from_rational(params.conductor, 5)))
+        assert span_dim(direct_sum(a, b)) == a.d ** 2 + b.d ** 2
