@@ -353,7 +353,8 @@ class SparseEchelon:
     entries sit at larger indices.  Reducing a vector subtracts a * row
     for each pivot lead it meets, with one normalisation per entry
     update (`cyclotomic._sub_mul`), and an admitted remainder is divided
-    by its lead, so one field inversion is paid per admitted row.  Each
+    by its lead.  The echelon keeps the inverse of each lead value it has
+    met, so it pays one field inversion per distinct lead value.  Each
     entry of a pivot row is then a ratio of two minors of the admitted
     vectors, so on a dense basis the entries stay near minor size.
     Back-substitution is a single descending pass over the leads.
@@ -362,6 +363,7 @@ class SparseEchelon:
     def __init__(self, conductor: int):
         self.conductor = conductor
         self.pivots: dict = {}
+        self._inverses: dict = {}
 
     @property
     def rank(self) -> int:
@@ -399,9 +401,11 @@ class SparseEchelon:
         if not rem:
             return None
         lead = min(rem)
-        one = CycNumber.one(self.conductor)
-        if rem[lead] != one:
-            inv = rem[lead].inverse()
+        a = rem[lead]
+        if a != CycNumber.one(self.conductor):
+            inv = self._inverses.get(a)
+            if inv is None:
+                inv = self._inverses[a] = a.inverse()
             rem = {k: v * inv for k, v in rem.items()}
         self.pivots[lead] = rem
         return rem
@@ -559,7 +563,12 @@ def matrix_hom_space(mats_a: list[FieldMatrix],
     Weight support.  For each g with A_g and B_g both diagonal, equation
     (g, r, c) reads (a_r - b_c) P[r][c] = 0.  So P vanishes off the
     support, the pairs (r, c) where e_r and e_c have equal joint weights
-    (`joint_weights`) under those pairs.  When the support leaves out
+    (`joint_weights`) under those pairs.  If two basis vectors of one side
+    share a weight, each word A_g A_h of two other generators whose
+    B_g B_h is diagonal too joins the pairs (for z: xy and yx on a weight
+    basis): every solution has A_g A_h P = A_g P B_h = P B_g B_h, so the
+    word removes only unknowns that vanish on every solution, and the
+    hom space and its basis do not change.  When the support leaves out
     some unknown, only the equations that touch the support, restricted
     to it, are solved, exactly and without a modular step; an empty
     support gives [].  The kernel of the whole system is that of the
@@ -607,11 +616,23 @@ def matrix_hom_space(mats_a: list[FieldMatrix],
     diagonal = [g for g, (a, b) in enumerate(zip(mats_a, mats_b))
                 if a.is_diagonal() and b.is_diagonal()]
     if diagonal:
+        pairs = [(mats_a[g], mats_b[g]) for g in diagonal]
+
+        def weights(side: int) -> list[tuple]:
+            return joint_weights([pair[side] for pair in pairs])
+
+        if len(set(weights(0))) < da or len(set(weights(1))) < db:
+            others = [g for g in range(len(mats_a)) if g not in diagonal]
+            for g, h in product(others, repeat=2):
+                word_a = mats_a[g] * mats_a[h]
+                if word_a.is_diagonal():
+                    word_b = mats_b[g] * mats_b[h]
+                    if word_b.is_diagonal():
+                        pairs.append((word_a, word_b))
         weights_b: dict = {}
-        for c, w in enumerate(joint_weights([mats_b[g] for g in diagonal])):
+        for c, w in enumerate(weights(1)):
             weights_b.setdefault(w, []).append(c)
-        support = [(r, c) for r, w in enumerate(
-                       joint_weights([mats_a[g] for g in diagonal]))
+        support = [(r, c) for r, w in enumerate(weights(0))
                    for c in weights_b.get(w, ())]
     if len(support) < da * db:
         if not support:

@@ -29,7 +29,7 @@ from .cyclotomic import (CycNumber, _check_json_int, nth_root_in_field,
                          roots_of_unity)
 from .linalg import (FieldMatrix, SparseEchelon, _spin_mod_p,
                      algebra_span_dim, is_invertible, joint_weights,
-                     left_kernel, matrix_hom_space, scalar_of, spin)
+                     left_kernel, matrix_hom_space, spin)
 from .pbw import _coerce_scalar, pq_number
 
 Z_TORSION = "Z_TORSION"
@@ -447,12 +447,13 @@ def _weight(held: list[FieldMatrix], op: FieldMatrix, exponent: int,
 
     Returns t and the first vector of that kernel.  The candidates are
     the diagonal entries of op in basis order, then the roots of the
-    scalar op^exponent.  A winner has an eigenvector of op in the common
-    left kernel K of held; op is not restricted to K.  The verified
-    relations make K op-invariant wherever classify calls this (z commutes
-    with theta, so a left eigenspace of Mz is theta-invariant;
-    zx = p^-1 xz, so ker Mx is Mz-invariant), so the winners are the
-    eigenvalues of op on K, roots of the central op^exponent.
+    scalar op^exponent (`_central_scalar`).  A winner has an eigenvector
+    of op in the common left kernel K of held; op is not restricted to K.
+    The verified relations make K op-invariant wherever classify calls
+    this (z commutes with theta, so a left eigenspace of Mz is
+    theta-invariant; zx = p^-1 xz, so ker Mx is Mz-invariant), so the
+    winners are the eigenvalues of op on K, roots of the central
+    op^exponent.
     """
     cond = op.conductor
     ident = FieldMatrix.identity(op.shape[0], cond)
@@ -461,7 +462,7 @@ def _weight(held: list[FieldMatrix], op: FieldMatrix, exponent: int,
 
     def candidates():
         yield from diagonal
-        power = scalar_of(op ** exponent)
+        power = _central_scalar(op, exponent)
         base = (nth_root_in_field(power, exponent)
                 if power is not None and not power.is_zero() else None)
         if base is not None:
@@ -476,9 +477,25 @@ def _weight(held: list[FieldMatrix], op: FieldMatrix, exponent: int,
                      "in the working field")
 
 
+def _central_scalar(mat: FieldMatrix, exponent: int) -> CycNumber | None:
+    """The c with e_0 mat^exponent = c e_0, or None, by vector products.
+
+    classify reads central powers (x^l, y^l, z^m, theta^n) only after
+    `is_simple`, so they act by scalars (Schur), and `_self_check`
+    verifies what is read from them exactly.
+    """
+    row = FieldMatrix.from_entries(1, mat.shape[0], {(0, 0): 1}, mat.conductor)
+    for _ in range(exponent):
+        row = row * mat
+    entries = row._rows[0]
+    if entries.keys() <= {0}:
+        return entries.get(0, CycNumber.zero(mat.conductor))
+    return None
+
+
 def _scalar_root(mat: FieldMatrix, exponent: int, kind: str,
                  name: str) -> CycNumber:
-    power = scalar_of(mat ** exponent)
+    power = _central_scalar(mat, exponent)
     if power is None or power.is_zero():
         raise ValueError(f"classify {kind}: {name}^{exponent} "
                          "is not a nonzero scalar")
@@ -561,7 +578,7 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
         if d != l:
             raise ValueError(f"y-invertible module of dimension {d}, "
                              f"expected {l}")
-        if not (rep.Mx ** l).is_zero():
+        if _central_scalar(rep.Mx, l) != 0:
             raise ValueError("classify V2: Mx is singular but not nilpotent")
         mu = _scalar_root(rep.My, l, KIND_V2, "My")
         lam, v0 = _weight([rep.Mx], rep.Mz, params.m, KIND_V2,
@@ -667,10 +684,12 @@ def find_intertwiner(rep_a: MatrixRep, rep_b: MatrixRep) -> FieldMatrix | None:
     The hom space is `matrix_hom_space`'s.  When the theta matrices of
     both modules are diagonal, the pair (theta_a, theta_b) joins the
     generator lists: theta is an element of the algebra, so the hom space
-    is unchanged, and its weights narrow the weight support.  For simple
-    inputs a nonzero solution is automatically invertible (Schur); a
-    nonzero singular solution means some input was not simple, and is
-    reported as an error.
+    is unchanged, and its weights narrow the weight support.  Theta is
+    kept on the module object, and on a simple weight module it tells
+    apart the vectors that share a z weight, so `matrix_hom_space` needs
+    no word such as xy or yx.  For simple inputs a nonzero solution is
+    automatically invertible (Schur); a nonzero singular solution means
+    some input was not simple, and is reported as an error.
     """
     if rep_a.params != rep_b.params:
         raise ValueError("params mismatch between modules")

@@ -267,6 +267,29 @@ class TestSparseEchelon:
                     assert not any(v.is_zero() for v in row.values())
                 assert all(ech.reduce(vec) == {} for vec in rows)
 
+    def test_one_inverse_per_distinct_lead(self, monkeypatch):
+        # rows g e_i + e_{i+1} are admitted as they are, so the leads are
+        # g, g, g, 2g, 2g and 3, 3: three distinct values, three inverses
+        calls = []
+        inverse = CycNumber.inverse
+
+        def counted(self):
+            calls.append(self)
+            return inverse(self)
+
+        monkeypatch.setattr(CycNumber, "inverse", counted)
+        g, one = zeta_power(12, 1), cyc(12, 1)
+        leads = [g, g, g, 2 * g, 2 * g, cyc(12, 3), cyc(12, 3)]
+        ech = SparseEchelon(12)
+        for i, a in enumerate(leads):
+            row = ech.insert({i: a, i + 1: one})
+            assert row == {i: one, i + 1: inverse(a)}
+        assert sorted(map(str, calls)) == sorted(map(str, {g, 2 * g, cyc(12, 3)}))
+        # the memo belongs to one echelon: a new one pays again
+        calls.clear()
+        SparseEchelon(12).insert({0: g, 1: one})
+        assert calls == [g]
+
 
 class TestAlgebraSpan:
     def test_identity_only(self):

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -655,6 +656,74 @@ class TestClassify:
                 kinds.add(want.kind)
         assert kinds == {KIND_V1, KIND_V2, KIND_V3, KIND_QPLANE_Z,
                          KIND_QPLANE_THETA, KIND_ONE_DIM}
+
+    def test_classify_forms_no_matrix_power(self, monkeypatch):
+        # the central scalars x^l, y^l, z^m and theta^n are read from e_0
+        # by vector products, in the builder basis and in a dense one
+        def refuse(self, e):
+            raise AssertionError("classify formed a matrix power")
+
+        monkeypatch.setattr(FieldMatrix, "__pow__", refuse)
+        rng = random.Random(20)
+        for params in (P23, P44, P24, P13):
+            for kind in (KIND_V1, KIND_V2, KIND_V3, KIND_QPLANE_Z,
+                         KIND_QPLANE_THETA):
+                desc = seeded_descriptor(kind, params, rng, (1, 2, Fraction(3, 2)))
+                rep = build_from_descriptor(params, desc)
+                if rep.d == 1:
+                    # a one-dimensional module is of kind OneDim
+                    continue
+                for mod in (rep, integer_conjugate(rep, rng)):
+                    assert iso_test(kind, classify(mod), desc, params)[0], \
+                        (kind, params.m, params.n)
+
+    def test_property_dense_round_trip(self, monkeypatch):
+        # builder -> integer conjugate -> classify gives a descriptor that
+        # iso_test matches to the builder's, over all five families with
+        # cycle scalars c*g^r up to c = 10^20 + 1
+        monkeypatch.setattr(FieldMatrix, "__pow__", lambda self, e: pytest.fail(
+            "classify formed a matrix power"))
+        rng = random.Random(30)
+        pool = all_params(6)
+        kinds = (KIND_V1, KIND_V2, KIND_V3, KIND_QPLANE_Z, KIND_QPLANE_THETA)
+        cycles = (1, 2, Fraction(3, 2), 7, 10 ** 20 + 1, Fraction(10 ** 20 + 1, 3))
+        done = Counter()
+        while sum(done.values()) < 30:
+            kind = kinds[sum(done.values()) % 5]
+            params = rng.choice(pool)
+            desc = seeded_descriptor(kind, params, rng, cycles)
+            rep = build_from_descriptor(params, desc)
+            if rep.d == 1:
+                # a one-dimensional module is of kind OneDim, not of this family
+                continue
+            got = classify(integer_conjugate(rep, rng))
+            ok, k = iso_test(kind, got, desc, params)
+            assert ok and k is not None, (kind, params.m, params.n,
+                                          params.k1, params.k2, desc)
+            done[kind] += 1
+        assert done == {kind: 6 for kind in kinds}
+
+
+def seeded_descriptor(kind, params, rng, cycles):
+    """A descriptor of the given family: its cycle scalar is c*g^r for c in
+    cycles, and each weight slot is c*g^r for a small rational c."""
+    cond = params.conductor
+    g = zeta_power(cond, 1)
+
+    def scalar(values):
+        return CycNumber.from_rational(cond, rng.choice(values)) * g ** rng.randrange(cond)
+
+    weights = (1, 2, -3, Fraction(1, 2), Fraction(-5, 3))
+    if kind == KIND_V1:
+        return ModuleDescriptor(kind, mu=scalar(cycles), lam=scalar(weights),
+                                gamma=scalar(weights))
+    if kind == KIND_V2:
+        return ModuleDescriptor(kind, mu=scalar(cycles), lam=scalar(weights))
+    if kind == KIND_V3:
+        return ModuleDescriptor(kind, lam=scalar(weights))
+    if kind == KIND_QPLANE_Z:
+        return ModuleDescriptor(kind, mu=scalar(cycles), gamma=scalar(weights))
+    return ModuleDescriptor(kind, mu=scalar(cycles), lam=scalar(weights))
 
 
 class TestIsoV1:
@@ -1854,3 +1923,92 @@ class TestBlockSplit:
             lam=CycNumber.from_rational(params.conductor, 3),
             gamma=CycNumber.from_rational(params.conductor, 5)))
         assert span_dim(direct_sum(a, b)) == a.d ** 2 + b.d ** 2
+
+
+def sheared(a, b):
+    """a + b conjugated by u = I + sum_i E_(i, d+i): with equal z weights on
+    a and b, z stays diagonal, but xy and yx do not when theirs differ."""
+    d, cond = a.d, a.params.conductor
+    u = FieldMatrix.identity(2 * d, cond) + FieldMatrix.from_entries(
+        2 * d, 2 * d, {(i, d + i): 1 for i in range(d)}, cond)
+    return conjugate(direct_sum(a, b), u, inverse(u))
+
+
+def generator_products(monkeypatch, mats):
+    """A list that gets one entry per product of two of the given matrices."""
+    ids = {id(m) for m in mats}
+    products = []
+    matmul = FieldMatrix._matmul
+
+    def recorded(self, other):
+        if id(self) in ids and id(other) in ids:
+            products.append((self, other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(FieldMatrix, "_matmul", recorded)
+    return products
+
+
+class TestWordSupport:
+    """matrix_hom_space with the weights of diagonal words A_g A_h."""
+
+    def test_property_matches_reference(self):
+        # every order pair (m, n) with l <= 6, at a seeded (k1, k2), and (4, 6)
+        rng = random.Random(20)
+        kinds = (KIND_V1, KIND_V2, KIND_V3, KIND_QPLANE_Z, KIND_QPLANE_THETA)
+        orders = sorted({(params.m, params.n) for params in all_params(6)})
+        for m, n in orders + [(4, 6)]:
+            params = derive_params(m, n, *rng.choice(valid_pairs(m, n)))
+            scalars = sample_scalars(params, rng, 5)
+            mu, lam, gam, a, b = scalars
+            mods = [build_v1(params, mu, lam, gam), build_v2(params, mu, lam),
+                    build_v3(params, lam), build_qplane(params, Z_TORSION, a, b),
+                    build_qplane(params, THETA_TORSION, a, b)]
+            pairs = []
+            for mod, kind in zip(mods, kinds):
+                tw = twin(params, kind, scalars, rng)
+                pairs.append((mod, tw))
+                if mod.d <= 6:
+                    both = direct_sum(mod, tw)
+                    pairs += [(both, both), (both, mod), (mod, both)]
+            v1, other = mods[0], build_v1(params, mu, lam, 11 * gam)
+            if v1.d <= 6:
+                # z keeps its weights, xy and yx lose their diagonal on one side
+                mixed = sheared(v1, other)
+                both = interleaved(direct_sum(v1, other))
+                pairs += [(v1, mixed), (mixed, v1), (mixed, mixed),
+                          (both, both), (both, other)]
+            for x, y in pairs:
+                where = (params.m, params.n, params.k1, params.k2, x.d, y.d)
+                assert matrix_hom_space(gens(x), gens(y)) == \
+                    reference_hom_space(gens(x), gens(y)), where
+
+    def test_dense_pair_forms_no_word(self, monkeypatch):
+        # no generator is diagonal in a dense basis; with theta the weights
+        # of a V1 build are distinct, so find_intertwiner forms none either
+        v1 = build_v1(P23, zeta_power(6, 1), 2, 3)
+        rng = random.Random(21)
+        dense = [integer_conjugate(v1, rng) for _ in range(2)]
+        tw = build_v1(P23, zeta_power(6, 1), 2 * P23.p, 3 * P23.q ** -1)
+        cases = [(gens(dense[0]), gens(dense[1])),
+                 (gens(v1) + [theta_matrix(v1)], gens(tw) + [theta_matrix(tw)])]
+        for mats_a, mats_b in cases:
+            products = generator_products(monkeypatch, mats_a + mats_b)
+            assert len(matrix_hom_space(mats_a, mats_b)) == 1
+            assert products == []
+        # without theta, z repeats its weights (ord(p) = 2 < 6), so the
+        # words xy and yx are formed
+        products = generator_products(monkeypatch, gens(v1) + gens(tw))
+        assert len(matrix_hom_space(gens(v1), gens(tw))) == 1
+        assert len(products) > 0
+
+    def test_end_of_v3_sum_inserts_few_equations(self, monkeypatch):
+        # End(V3 + V3') at (4, 6): 144 unknowns and 280 touched equations
+        # on the z weights alone, which repeat with period ord(p) = 4 < 6;
+        # xy and yx tell apart the vectors that share one
+        params = derive_params(4, 6)
+        v3 = build_v3(params, Fraction(3, 2))
+        both = direct_sum(v3, build_v3(params, Fraction(3, 2)))
+        calls = count_inserts(monkeypatch)
+        assert len(matrix_hom_space(gens(both), gens(both))) == 4
+        assert len(calls) <= 100
