@@ -15,6 +15,7 @@ on `modular.reduced`'s echelon; a matrix algebra spins from the identity.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, product
 
@@ -339,11 +340,6 @@ def is_invertible(mat: FieldMatrix) -> bool:
     return n == m and not left_kernel([mat])
 
 
-def scalar_of(mat: FieldMatrix) -> CycNumber | None:
-    """The scalar c if mat = c*identity, else None."""
-    return mat[0][0] if mat.is_scalar() else None
-
-
 class SparseEchelon:
     """Incremental echelon basis of sparse vectors (dict index -> coeff).
 
@@ -490,16 +486,65 @@ def _spin_mod_p(gens: list[FieldMatrix], seed: dict, full: int) -> int | None:
     return spin(reduced[0], seed, full, reduced[1])
 
 
+def _norton(gens: list[FieldMatrix],
+            elements: list[FieldMatrix]) -> bool | None:
+    """Norton's irreducibility test on a standard basis vector, mod P.
+
+    gens are d x d generators, and elements are elements of the unital
+    algebra they generate; those that are diagonal give e_i its joint
+    weight (`joint_weights`).  None is returned when the weights do not
+    tell any two basis vectors apart: no element is diagonal, or each
+    diagonal one is a scalar.
+
+    Suppose e_i has a weight that no other e_j shares.  A generic
+    rational combination of the diagonal elements minus its i-th entry
+    is then an element theta' of the algebra with ker theta' =
+    ker theta'^T = K e_i.  Norton's criterion (Parker 1984; Holt and Rees
+    1994): if e_i spins to the whole space under gens, and also under
+    their transposes, the module is simple, and since ker theta' is
+    one-dimensional it is absolutely simple, so gens span all d^2
+    matrices.  Both spins are needed: a module can have a full forward
+    spin and a proper submodule.  True is returned when both spins are
+    full mod P, which makes them full exactly (`_spin_mod_p`); False when
+    no weight is unique or a spin mod P falls short, which proves nothing.
+    """
+    d = gens[0].shape[0]
+    weights = joint_weights(elements)
+    counts = Counter(weights)
+    if len(counts) == 1:
+        return None
+    i = next((i for i, w in enumerate(weights) if counts[w] == 1), None)
+    return (i is not None and _spin_mod_p(gens, {i: 1}, d) == d
+            and _spin_mod_p([g.transpose() for g in gens], {i: 1}, d) == d)
+
+
+def _diagonal_words(pairs) -> list[FieldMatrix] | None:
+    # [a * b for each pair] when the pattern of every product is diagonal,
+    # else None.  A pattern is diagonal when each path i -> t -> j through
+    # the nonzeros of a and b ends at j = i; the check is O(nonzeros) and
+    # stops at the first path off the diagonal, so no product is formed
+    # only to be thrown away.  A product that is diagonal only because
+    # entries cancel is left out.
+    if any(j != i for a, b in pairs for i, row in enumerate(a._rows)
+           for t in row for j in b._rows[t]):
+        return None
+    return [a * b for a, b in pairs]
+
+
 def algebra_span_dim(mats: list[FieldMatrix]) -> int:
     """Dimension of the unital algebra generated by the given matrices.
 
     The matrices are block diagonal on the connected components of the
     graph with an edge i - j per nonzero (i, j) entry.  With several, a
     block joins the class of an earlier one of its size with a nonzero
-    `matrix_hom_space` to it, or else must span all b x b matrices mod P,
-    hence exactly; the value is then the sum of b^2 over the classes
-    (Schur, Wedderburn).  Otherwise, or if a span is short mod P or has
-    no reduction, it is the exact `spin` of the identity as d^2 entries.
+    `matrix_hom_space` to it, or else must span all b x b matrices.  That
+    is proven by `_norton` on the block's diagonal generators, joined by
+    the two-letter words whose pattern is diagonal when those leave a
+    weight repeated, or else by the spin of the b x b identity mod P,
+    which is full exactly when it is full mod P.  The value is then the
+    sum of b^2 over the classes (Schur, Wedderburn).  Otherwise, or if a
+    block's span is short mod P or has no reduction, it is the exact
+    `spin` of the identity as d^2 entries.
     """
     d, conductor = _generator_size(mats)
     rows = [g._rows for g in mats]
@@ -534,7 +579,13 @@ def _block_span(rows: list, d: int, conductor: int) -> int | None:
                                 for i in idx], conductor) for g in rows]
         if any(matrix_hom_space(c, block) for c in classes if c[0].shape == (b, b)):
             continue
-        if _spin_mod_p(block, {k * b + k: 1 for k in range(b)}, b * b) != b * b:
+        words = []
+        if len(set(joint_weights(block))) < b:
+            others = [g for g in block if not g.is_diagonal()]
+            words = [w for g, h in product(others, repeat=2)
+                     for w in _diagonal_words([(g, h)]) or ()]
+        if not (_norton(block, block + words) or _spin_mod_p(
+                block, {k * b + k: 1 for k in range(b)}, b * b) == b * b):
             return None
         classes.append(block)
     return sum(c[0].shape[0] ** 2 for c in classes)
@@ -568,13 +619,18 @@ def matrix_hom_space(mats_a: list[FieldMatrix],
     B_g B_h is diagonal too joins the pairs (for z: xy and yx on a weight
     basis): every solution has A_g A_h P = A_g P B_h = P B_g B_h, so the
     word removes only unknowns that vanish on every solution, and the
-    hom space and its basis do not change.  When the support leaves out
-    some unknown, only the equations that touch the support, restricted
-    to it, are solved, exactly and without a modular step; an empty
-    support gives [].  The kernel of the whole system is that of the
-    restricted one padded with zeros, so its basis, taken over the
-    support in the same (r, c) order, is the same list as the basis over
-    all d_a * d_b unknowns.
+    hom space and its basis do not change.  A pair of words is formed
+    only when the sparsity patterns of both products are diagonal
+    (`_diagonal_words`), so words such as xx and yy are never multiplied
+    out; a word that is diagonal only because entries cancel is left
+    out, which leaves a larger support and, as below, the same basis.
+    When the support leaves out some unknown, only the equations that
+    touch the support, restricted to it, are solved, exactly and without
+    a modular step; an empty support gives [].  The kernel of the whole
+    system is that of the restricted one padded with zeros, so its basis,
+    taken over any support off which every solution vanishes, in the
+    same (r, c) order, is the same list as the basis over all d_a * d_b
+    unknowns.
 
     Otherwise (no such g, or weights that rule out no unknown, as for a
     dense basis with z = 0 or for d_a = d_b = 1) the equations are built
@@ -624,11 +680,10 @@ def matrix_hom_space(mats_a: list[FieldMatrix],
         if len(set(weights(0))) < da or len(set(weights(1))) < db:
             others = [g for g in range(len(mats_a)) if g not in diagonal]
             for g, h in product(others, repeat=2):
-                word_a = mats_a[g] * mats_a[h]
-                if word_a.is_diagonal():
-                    word_b = mats_b[g] * mats_b[h]
-                    if word_b.is_diagonal():
-                        pairs.append((word_a, word_b))
+                words = _diagonal_words([(mats_a[g], mats_a[h]),
+                                         (mats_b[g], mats_b[h])])
+                if words is not None:
+                    pairs.append(tuple(words))
         weights_b: dict = {}
         for c, w in enumerate(weights(1)):
             weights_b.setdefault(w, []).append(c)

@@ -19,7 +19,6 @@ and to one-dimensional modules.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
@@ -27,9 +26,9 @@ from operator import mul
 from .arith import AlgebraParams, ord_formula
 from .cyclotomic import (CycNumber, _check_json_int, nth_root_in_field,
                          roots_of_unity)
-from .linalg import (FieldMatrix, SparseEchelon, _spin_mod_p,
-                     algebra_span_dim, is_invertible, joint_weights,
-                     left_kernel, matrix_hom_space, spin)
+from .linalg import (FieldMatrix, SparseEchelon, _norton, _spin_mod_p,
+                     algebra_span_dim, is_invertible, left_kernel,
+                     matrix_hom_space, spin)
 from .pbw import _coerce_scalar, pq_number
 
 Z_TORSION = "Z_TORSION"
@@ -340,9 +339,18 @@ def _theta(rep: MatrixRep, yx: FieldMatrix, xy: FieldMatrix) -> FieldMatrix:
 
 
 def is_simple(rep: MatrixRep) -> bool:
-    """Exact simplicity test (Burnside): is `span_dim` all of d x d?"""
+    """Exact simplicity test (Burnside): is `span_dim` all of d x d?
+
+    After the relation check, d above the PI degree l = lcm(m, n)
+    (`params.l`, which `arith.pi_degree` returns) answers False with no
+    span: a span of d^2 would make all of M_d an image of the algebra,
+    so M_d would satisfy the standard identity s_2l, which by
+    Amitsur-Levitzki it does only when d <= l.
+    """
     if not verify_relations(rep).ok:
         raise ValueError("relation check failed: input is not a module")
+    if rep.d > rep.params.l:
+        return False
     return _certified_span(rep) == rep.d * rep.d
 
 
@@ -352,8 +360,9 @@ def span_dim(rep: MatrixRep) -> int:
     The span is d^2 exactly when the module is simple (Burnside).  Each
     rung of this ladder is a `linalg.spin`, mod P or exact:
 
-    * `weight_certificate`: Norton's test on a standard basis vector with
-      a joint weight of its own; when it holds, the span is d^2.
+    * `weight_certificate`: Norton's test (`linalg._norton`) on a standard
+      basis vector with a joint weight of its own under the diagonal ones
+      of Mx, My, Mz and theta; when it holds, the span is d^2.
     * The spin of the identity mod a prime P, the span mod P: a rank can
       only fall under reduction, so d^2 mod P proves d^2 exactly.
     * The exact spin of each standard basis vector: a short one is a
@@ -362,11 +371,13 @@ def span_dim(rep: MatrixRep) -> int:
       mod P, since a reducible weight module usually shows one at once.
 
     Otherwise `algebra_span_dim` is the value; it splits block-diagonal
-    generators into simple blocks before its exact span.  No answer
+    generators into blocks, certifies each by Norton's test or else its
+    span mod P, and only then falls back to its exact span.  No answer
     is read from a short spin mod P; the relations are not checked.  The
-    outcome of this ladder is computed once per module object and shared
-    with `is_simple`; the exact span that follows a submodule found by a
-    spin is computed again on every call.
+    PI-degree rung of `is_simple` gives no value, so it is not a rung
+    here.  The outcome of this ladder is computed once per module object
+    and shared with `is_simple`; the exact span that follows a submodule
+    found by a spin is computed again on every call.
     """
     span = _certified_span(rep)
     return algebra_span_dim([rep.Mx, rep.My, rep.Mz]) if span is None else span
@@ -397,39 +408,19 @@ def _certify_span(rep: MatrixRep) -> int | None:
 
 
 def weight_certificate(rep: MatrixRep) -> bool | None:
-    """Norton's irreducibility test on a standard basis vector, mod P.
+    """Norton's irreducibility test (`linalg._norton`) on the weights of
+    those of Mx, My, Mz and the theta matrix that are diagonal.
 
-    Let D be those of Mx, My, Mz and the theta matrix that are diagonal,
-    and give e_i the joint weight of its diagonal entries under D.  None
-    is returned when the weights do not tell any two basis vectors
-    apart: D is empty or holds only scalars.  Theta is formed only when
-    one of Mx, My, Mz is diagonal, so a dense basis pays no product.
-
-    Suppose e_i has a weight that no other e_j shares.  A generic
-    rational combination of D minus its i-th diagonal entry is then an
-    element theta' of the algebra with ker theta' = ker theta'^T = K e_i.
-    Norton's criterion (Parker 1984; Holt and Rees 1994): if e_i spins to
-    the whole space under Mx, My and Mz, and also under their transposes,
-    the module is simple, and since ker theta' is one-dimensional it is
-    absolutely simple, so the generators span all d^2 matrices.  Both
-    spins are needed: a module can have a full forward spin and a proper
-    submodule.  True is returned when both spins are full mod P, which
-    makes them full exactly (`_spin_mod_p`); False when no weight is
-    unique or a spin mod P falls short, which proves nothing.
+    None is returned when the weights do not tell any two basis vectors
+    apart: none of the four is diagonal, or each diagonal one is a
+    scalar.  True proves span d^2; False proves nothing.  Theta is formed
+    only when one of Mx, My, Mz is diagonal, so a dense basis pays no
+    product, and it is kept on the module object.
     """
     gens = [rep.Mx, rep.My, rep.Mz]
     if not any(g.is_diagonal() for g in gens):
         return None
-    weights = joint_weights(gens + [theta_matrix(rep)])
-    counts = Counter(weights)
-    if len(counts) == 1:
-        return None
-    i = next((i for i, w in enumerate(weights) if counts[w] == 1), None)
-    if i is None:
-        return False
-    d = rep.d
-    return (_spin_mod_p(gens, {i: 1}, d) == d
-            and _spin_mod_p([g.transpose() for g in gens], {i: 1}, d) == d)
+    return _norton(gens, gens + [theta_matrix(rep)])
 
 
 def _spin_finds_submodule(gens: list[FieldMatrix], d: int) -> bool:

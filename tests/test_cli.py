@@ -555,6 +555,29 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert out.getvalue() == "d: 8\nspan_dim: 40\nsimple: false\n"
 
+    def test_module_classify_reads_the_pi_degree_on_a_dense_sum(self,
+                                                                tmp_path):
+        # V1(2,3,5) + V1(3,2,7) at (1, 4) in a dense basis: d = 8 is above
+        # the PI degree l = 4, so is_simple answers with no span; the span
+        # ladder reached the exact span, which ran past 900 s
+        import random
+        import time
+        from qheisenberg.reps import build_v1, direct_sum
+        from test_reps import integer_conjugate
+
+        params = derive_params(1, 4)
+        rep = integer_conjugate(direct_sum(build_v1(params, 2, 3, 5),
+                                           build_v1(params, 3, 2, 7)),
+                                random.Random(1))
+        assert all(len(row) == 8 for row in rep.Mx._rows)
+        path = tmp_path / "dense_sum.json"
+        path.write_text(json.dumps(rep.to_json()))
+        start = time.perf_counter()
+        code, err = _run_main_with_watchdog(["module-classify", "--in",
+                                             str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (1, "error: input module is not simple\n")
+
     def test_non_simple_module_is_domain_error(self, tmp_path, capsys):
         import io
         from contextlib import redirect_stdout

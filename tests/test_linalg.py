@@ -11,8 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from qheisenberg.cyclotomic import CycNumber, zeta_power
 from qheisenberg.linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
-                                is_invertible, matrix_hom_space, row_reduce,
-                                scalar_of)
+                                is_invertible, matrix_hom_space, row_reduce)
 
 
 def cyc(n, v):
@@ -140,10 +139,11 @@ class TestFieldMatrix:
     def test_scalar_detection(self):
         s = FieldMatrix.identity(3, 6).scale(cyc(6, Fraction(2, 3)))
         assert s.is_scalar()
-        assert scalar_of(s) == cyc(6, Fraction(2, 3))
+        assert s[0][0] == cyc(6, Fraction(2, 3))
         ns = FieldMatrix.diagonal([cyc(6, 1), cyc(6, 2)], 6)
-        assert scalar_of(ns) is None
-        assert scalar_of(FieldMatrix.zeros(2, 2, 6)) == cyc(6, 0)
+        assert not ns.is_scalar()
+        zeros = FieldMatrix.zeros(2, 2, 6)
+        assert zeros.is_scalar() and zeros[0][0] == cyc(6, 0)
 
     def test_json_round_trip(self):
         a = FieldMatrix([[zeta_power(6, 1), cyc(6, Fraction(1, 2))],

@@ -22,7 +22,7 @@ from qheisenberg.cyclotomic import (CycNumber, cyclotomic_polynomial,
 from qheisenberg.pbw import pq_number
 from qheisenberg.linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
                                 is_invertible, joint_weights, left_kernel,
-                                matrix_hom_space, row_reduce, scalar_of, spin)
+                                matrix_hom_space, row_reduce, spin)
 from qheisenberg.reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
                               KIND_V1, KIND_V2, KIND_V3, THETA_TORSION,
                               Z_TORSION, MatrixRep, ModuleDescriptor,
@@ -144,10 +144,12 @@ class TestBuilders:
     def test_cycle_powers(self):
         mu = zeta_power(6, 1)
         rep = build_v1(P23, mu, 2, 3)
-        assert scalar_of(rep.Mx ** 6) == mu ** 6
+        power = rep.Mx ** 6
+        assert power.is_scalar() and power[0][0] == mu ** 6
         rep = build_v2(P23, mu, 2)
         assert (rep.Mx ** 6).is_zero()
-        assert scalar_of(rep.My ** 6) == mu ** 6
+        power = rep.My ** 6
+        assert power.is_scalar() and power[0][0] == mu ** 6
 
     def test_scalar_validation(self):
         with pytest.raises(ValueError):
@@ -402,7 +404,7 @@ class TestSimplicity:
             for rep in reps:
                 for mat, e in ((rep.Mx, l), (rep.My, l), (rep.Mz, m),
                                (theta_matrix(rep), n)):
-                    assert scalar_of(mat ** e) is not None
+                    assert (mat ** e).is_scalar()
 
 
 def conjugators(params, d):
@@ -1766,7 +1768,8 @@ def eigenvalues(mat, exponent):
     the scalar mat^exponent, decided by row_reduce."""
     d, cond = mat.shape[0], mat.conductor
     cands = {mat[i][i] for i in range(d)}
-    power = scalar_of(mat ** exponent)
+    power = mat ** exponent
+    power = power[0][0] if power.is_scalar() else None
     if power is not None and not power.is_zero():
         base = nth_root_in_field(power, exponent)
         if base is not None:
@@ -1856,6 +1859,36 @@ def summed(*parts):
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def split_cases():
+    """(params, block-diagonal sum, its `spin_span`, whether every block
+    is simple) for l <= 6."""
+    rng = random.Random(19)
+    kinds = (KIND_V1, KIND_V2, KIND_V3, KIND_QPLANE_Z, KIND_QPLANE_THETA)
+    out = []
+    for params in all_params(6):
+        scalars = sample_scalars(params, rng, 5)
+        mu, lam, gam, a, b = scalars
+        v1, v2, v3, qz, qt = (
+            build_v1(params, mu, lam, gam), build_v2(params, mu, lam),
+            build_v3(params, lam), build_qplane(params, Z_TORSION, a, b),
+            build_qplane(params, THETA_TORSION, a, b))
+        tw = [twin(params, kind, scalars, rng) for kind in kinds]
+        one_a = build_one_dim(params, mu, 0, 0)
+        one_b = build_one_dim(params, 2 * mu, 0, 0)
+        cases = [summed(v3, qz), summed(v2, tw[1], one_b),
+                 summed(qt, tw[4]), summed(qz, tw[3], v3),
+                 summed(one_a, one_b), summed(one_a, one_a),
+                 summed(one_a, one_b, one_a), summed(v3, qz, one_a)]
+        for pair in (summed(v1, v2), summed(v1, tw[0])):
+            cases += [pair, interleaved(pair)]
+        # a block that is not simple: the exact spin answers
+        cases.append(summed(ladder(params, lam), one_a))
+        out += [(params, rep, spin_span(gens(rep)), k < len(cases) - 1)
+                for k, rep in enumerate(cases)]
+    return out
+
+
 # QPlaneTheta + V1 at (2, 3) as a module file ran `module-simple` past 90 s
 FOUND_SUMS = [((m, n), kind) for m, n in ((2, 3), (3, 2), (3, 6), (5, 1), (5, 5))
               for kind in (KIND_V1, KIND_V2, KIND_V3)] + [((5, 5), KIND_QPLANE_Z)]
@@ -1865,29 +1898,37 @@ class TestBlockSplit:
     """algebra_span_dim on block-diagonal generators against the unsplit spin."""
 
     def test_property_split_matches_spin_oracle(self):
-        rng = random.Random(19)
-        kinds = (KIND_V1, KIND_V2, KIND_V3, KIND_QPLANE_Z, KIND_QPLANE_THETA)
-        for params in all_params(6):
-            scalars = sample_scalars(params, rng, 5)
-            mu, lam, gam, a, b = scalars
-            v1, v2, v3, qz, qt = (
-                build_v1(params, mu, lam, gam), build_v2(params, mu, lam),
-                build_v3(params, lam), build_qplane(params, Z_TORSION, a, b),
-                build_qplane(params, THETA_TORSION, a, b))
-            tw = [twin(params, kind, scalars, rng) for kind in kinds]
-            one_a = build_one_dim(params, mu, 0, 0)
-            one_b = build_one_dim(params, 2 * mu, 0, 0)
-            cases = [summed(v3, qz), summed(v2, tw[1], one_b),
-                     summed(qt, tw[4]), summed(qz, tw[3], v3),
-                     summed(one_a, one_b), summed(one_a, one_a),
-                     summed(one_a, one_b, one_a), summed(v3, qz, one_a),
-                     # a block that is not simple: the exact spin answers
-                     summed(ladder(params, lam), one_a)]
-            for pair in (summed(v1, v2), summed(v1, tw[0])):
-                cases += [pair, interleaved(pair)]
-            for rep in cases:
-                assert algebra_span_dim(gens(rep)) == spin_span(gens(rep)), \
-                    (params.m, params.n, params.k1, params.k2, rep.d)
+        for params, rep, span, _ in split_cases():
+            assert algebra_span_dim(gens(rep)) == span, \
+                (params.m, params.n, params.k1, params.k2, rep.d)
+
+    @pytest.mark.parametrize("where,stub", [
+        ("_norton", lambda gens, elements: False),
+        ("_spin_mod_p", lambda gens, seed, full: 0)],
+        ids=["norton_false", "spin_mod_p_zero"])
+    def test_property_split_matches_spin_oracle_on_fallbacks(self, where,
+                                                             stub, monkeypatch):
+        # without Norton each class representative takes the b^2 spin mod
+        # P; without any spin mod P the exact spin of the identity answers
+        monkeypatch.setattr(linalg, where, stub)
+        for params, rep, span, _ in split_cases():
+            assert algebra_span_dim(gens(rep)) == span, \
+                (params.m, params.n, params.k1, params.k2, rep.d)
+
+    def test_norton_decides_the_simple_blocks(self, monkeypatch):
+        # every simple block of these sums has a weight of its own under
+        # its diagonal generators and words, so no b^2 spin mod P runs
+        spin_mod_p = linalg._spin_mod_p
+
+        def vectors_only(gens, seed, full):
+            if full != gens[0].shape[0]:
+                pytest.fail("span mod P computed")
+            return spin_mod_p(gens, seed, full)
+
+        monkeypatch.setattr(linalg, "_spin_mod_p", vectors_only)
+        for params, rep, span, simple_blocks in split_cases():
+            if simple_blocks:
+                assert algebra_span_dim(gens(rep)) == span
 
     def test_connected_input_solves_no_hom_space(self, monkeypatch):
         # one block: the exact spin of the identity runs as before
@@ -1925,6 +1966,73 @@ class TestBlockSplit:
         assert span_dim(direct_sum(a, b)) == a.d ** 2 + b.d ** 2
 
 
+class TestPiDegreeRung:
+    """is_simple answers False above the PI degree l, with no span."""
+
+    def test_property_matches_spin_span(self, monkeypatch):
+        # sums with d > l, where the rung decides, sums with d <= l, where
+        # it must not fire, and simple builds with d = l; in the builders'
+        # basis and as integer conjugates, whose span is the builder's
+        rng = random.Random(21)
+        spans = []
+        certified = reps._certified_span
+        monkeypatch.setattr(reps, "_certified_span",
+                            lambda rep: spans.append(rep) or certified(rep))
+        fired = kept = 0
+        dense_done = set()
+        for params in all_params(6):
+            # the relation checks of the dense sums dominate; the first
+            # parameter set of each conductor takes them
+            dense = params.conductor not in dense_done
+            dense_done.add(params.conductor)
+            v1, v2, v3, qz, qt = families(params, rng)
+            mu = sample_scalars(params, rng, 1)[0]
+            one_a = build_one_dim(params, mu, 0, 0)
+            one_b = build_one_dim(params, 2 * mu, 0, 0)
+            for rep in (v1, v2, summed(v1, v2), summed(v2, v2), summed(v3, qz),
+                        summed(qz, qt), summed(one_a, one_b),
+                        summed(one_a, one_b, one_a)):
+                exact = spin_span(gens(rep))
+                mods = [rep]
+                # a dense non-simple module with d <= l still reaches the
+                # exact span, which finishes up to d = 4
+                if dense and (rep.d > params.l or rep.d <= 4
+                              or exact == rep.d ** 2):
+                    mods.append(integer_conjugate(rep, rng))
+                for mod in mods:
+                    where = (params.m, params.n, params.k1, params.k2, mod.d,
+                             mod is rep)
+                    del spans[:]
+                    assert is_simple(mod) == (exact == mod.d ** 2), where
+                    assert (spans == []) == (mod.d > params.l), where
+                    fired += mod.d > params.l
+                    kept += mod.d <= params.l and exact < mod.d ** 2
+        assert fired > 200 and kept > 100
+
+    def test_rung_survives_optimize_flag(self):
+        # the rung is a branch, not an assert: under python -O it still
+        # answers a sum with d > l, with the span ladder stubbed to fail
+        code = textwrap.dedent("""
+            import qheisenberg.reps as reps
+            from qheisenberg.arith import derive_params
+            assert False, "asserts are active"
+            params = derive_params(2, 3, 1, 1)
+            v1 = reps.build_v1(params, 1, 2, 3)
+            print(reps.is_simple(v1))
+            reps._certified_span = lambda rep: 1 // 0
+            print(reps.is_simple(reps.direct_sum(v1, v1)),
+                  reps.is_simple(reps.direct_sum(
+                      reps.build_v3(params, 1), reps.build_v3(params, 2))))
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n") == ["True", "False False", ""]
+
+
 def sheared(a, b):
     """a + b conjugated by u = I + sum_i E_(i, d+i): with equal z weights on
     a and b, z stays diagonal, but xy and yx do not when theirs differ."""
@@ -1932,6 +2040,16 @@ def sheared(a, b):
     u = FieldMatrix.identity(2 * d, cond) + FieldMatrix.from_entries(
         2 * d, 2 * d, {(i, d + i): 1 for i in range(d)}, cond)
     return conjugate(direct_sum(a, b), u, inverse(u))
+
+
+def pinned(rep):
+    """rep + rep conjugated by u = I + E_(0, d).  u commutes with every
+    diagonal D + D, so z, xy and yx keep their diagonal; x and y do not,
+    and their product xy is diagonal only because entries cancel."""
+    d, cond = rep.d, rep.params.conductor
+    u = FieldMatrix.identity(2 * d, cond) + FieldMatrix.from_entries(
+        2 * d, 2 * d, {(0, d): 1}, cond)
+    return conjugate(direct_sum(rep, rep), u, inverse(u))
 
 
 def generator_products(monkeypatch, mats):
@@ -2001,6 +2119,33 @@ class TestWordSupport:
         products = generator_products(monkeypatch, gens(v1) + gens(tw))
         assert len(matrix_hom_space(gens(v1), gens(tw))) == 1
         assert len(products) > 0
+
+    def test_word_diagonal_by_cancellation_gives_the_reference(self):
+        # the pattern gate leaves out xy, which only cancellation makes
+        # diagonal; the support is then larger, and the basis the same
+        for params in (P23, P44, P24, derive_params(4, 6)):
+            for rep in (build_v1(params, 2, 3, 5), build_v3(params, 3)):
+                mod = pinned(rep)
+                assert mod.Mz == direct_sum(rep, rep).Mz
+                assert (mod.Mx * mod.My).is_diagonal()
+                assert linalg._diagonal_words([(mod.Mx, mod.My)]) is None
+                for x, y in ((mod, mod), (mod, rep), (rep, mod)):
+                    where = (params.m, params.n, x.d, y.d)
+                    assert matrix_hom_space(gens(x), gens(y)) == \
+                        reference_hom_space(gens(x), gens(y)), where
+
+    def test_only_diagonal_words_are_formed(self, monkeypatch):
+        # z repeats its weights on V1 at (2, 3): of the words xx, xy, yx
+        # and yy only xy and yx have a diagonal pattern, and only they are
+        # multiplied out, once on each side
+        v1 = build_v1(P23, zeta_power(6, 1), 2, 3)
+        tw = build_v1(P23, zeta_power(6, 1), 2 * P23.p, 3 * P23.q ** -1)
+        names = {id(m.Mx): "x" for m in (v1, tw)}
+        names.update((id(m.My), "y") for m in (v1, tw))
+        products = generator_products(monkeypatch, gens(v1) + gens(tw))
+        assert len(matrix_hom_space(gens(v1), gens(tw))) == 1
+        assert sorted(names[id(a)] + names[id(b)] for a, b in products) == \
+            ["xy", "xy", "yx", "yx"]
 
     def test_end_of_v3_sum_inserts_few_equations(self, monkeypatch):
         # End(V3 + V3') at (4, 6): 144 unknowns and 280 touched equations
