@@ -175,19 +175,27 @@ def _over_common_den(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in vec], den
 
 
-def _parse_coord(text):
+def _split_coord(text):
     # to_json writes "a", "-a" or "a/b" in ASCII digits; int() reads those
-    # without Fraction's regular expression, and any other value goes to
-    # Fraction, which accepts or rejects it exactly as before
+    # as (numerator, denominator) without Fraction's regular expression.
+    # Any other value gives None and is left to Fraction.
     if type(text) is str:
         num, slash, den = text.partition("/")
         digits = num[1:] if num[:1] == "-" else num
         if digits.isascii() and digits.isdigit():
             if not slash:
-                return int(num)
+                return int(num), 1
             if den.isascii() and den.isdigit() and int(den):
-                return Fraction(int(num), int(den))
-    return Fraction(text)
+                return int(num), int(den)
+    return None
+
+
+def _parse_coord(text):
+    # one coordinate, accepted or rejected exactly as Fraction(text) does
+    pair = _split_coord(text)
+    if pair is None:
+        return Fraction(text)
+    return pair[0] if pair[1] == 1 else Fraction(*pair)
 
 
 def _check_json_int(value, name: str = "conductor") -> None:
@@ -416,6 +424,8 @@ class CycNumber:
 
     def _coord_strs(self) -> list[str]:
         den = self.den
+        if den == 1:
+            return [str(x) for x in self.num]
         return [_coord_str(x, den) for x in self.num]
 
     def to_json(self) -> dict:
@@ -423,12 +433,21 @@ class CycNumber:
 
     @classmethod
     def from_json(cls, data: dict) -> CycNumber:
-        """Read {"conductor": int, "coeffs": [coordinate, ...]}; other JSON types raise TypeError."""
+        """Read {"conductor": int, "coeffs": [coordinate, ...]}; other JSON types raise TypeError.
+
+        phi(N) coordinates written as `to_json` writes them go over the
+        lcm of their denominators and are normalised once; anything else
+        is read coordinate by coordinate with `_parse_coord`.
+        """
         conductor, coeffs = data["conductor"], data["coeffs"]
         _check_json_int(conductor)
         if type(coeffs) is not list:
             raise TypeError(f"coeffs must be a JSON list, got {coeffs!r}")
-        return cls(conductor, [_parse_coord(s) for s in coeffs])
+        pairs = [_split_coord(s) for s in coeffs]
+        if None in pairs or len(pairs) != euler_phi(conductor):
+            return cls(conductor, [_parse_coord(s) for s in coeffs])
+        den = math.lcm(*[d for _, d in pairs])
+        return _normalised(conductor, [n * (den // d) for n, d in pairs], den)
 
     def __str__(self) -> str:
         parts = []

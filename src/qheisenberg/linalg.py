@@ -193,21 +193,6 @@ class FieldMatrix:
             out.append({j: v for j, v in acc.items() if not v.is_zero()})
         return _make((self.shape[0], other.shape[1]), out, self.conductor)
 
-    def __pow__(self, e: int) -> FieldMatrix:
-        n, m = self.shape
-        if n != m:
-            raise ValueError("power of a non-square matrix")
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = FieldMatrix.identity(n, self.conductor)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
     def transpose(self) -> FieldMatrix:
         n, m = self.shape
         cols: list[dict] = [{} for _ in range(m)]
@@ -247,12 +232,14 @@ class FieldMatrix:
 
     @classmethod
     def from_json(cls, data: list) -> FieldMatrix:
-        """Read the dense JSON rows, parsing only the entries that are not all "0"."""
+        """Read the dense JSON rows, parsing only the entries that are not `to_json`'s zero."""
         if not data or not data[0]:
             raise ValueError("matrix needs at least one entry")
         conductor = data[0][0]["conductor"]
         _check_json_int(conductor)
-        zero = ["0"] * euler_phi(conductor)
+        # what to_json writes for a zero; True == 1 and 6.0 == 6, so a
+        # match still needs an int conductor
+        zero = {"conductor": conductor, "coeffs": ["0"] * euler_phi(conductor)}
         ncols = len(data[0])
         rows = []
         for json_row in data:
@@ -260,14 +247,15 @@ class FieldMatrix:
                 raise ValueError("ragged rows")
             row = {}
             for j, e in enumerate(json_row):
+                if e == zero and type(e["conductor"]) is int:
+                    continue
                 c = e["conductor"]
                 if c != conductor or type(c) is not int:
                     _check_json_int(c)
                     raise ValueError("mixed conductors in matrix")
-                if e["coeffs"] != zero:
-                    v = CycNumber.from_json(e)
-                    if not v.is_zero():
-                        row[j] = v
+                v = CycNumber.from_json(e)
+                if not v.is_zero():
+                    row[j] = v
             rows.append(row)
         return _make((len(data), ncols), rows, conductor)
 

@@ -55,6 +55,15 @@ def pq_number(params: AlgebraParams, k: int) -> CycNumber:
     return acc
 
 
+def _pq_numbers(params: AlgebraParams, count: int) -> list[CycNumber]:
+    """[0]_{p,q}, ..., [count-1]_{p,q}, each from the last: [k+1] = q^k + p^-1 [k]."""
+    p_inv = params.power(-1, 0)
+    out = [CycNumber.zero(params.conductor)]
+    for k in range(count - 1):
+        out.append(params.power(0, k) + p_inv * out[k])
+    return out
+
+
 class PbwElement:
     """An element of H_{p,q} in the z-before-x-before-y normal form."""
 

@@ -26,10 +26,10 @@ from operator import mul
 from .arith import AlgebraParams, ord_formula
 from .cyclotomic import (CycNumber, _check_json_int, nth_root_in_field,
                          roots_of_unity)
-from .linalg import (FieldMatrix, SparseEchelon, _norton, _spin_mod_p,
-                     algebra_span_dim, is_invertible, left_kernel,
-                     matrix_hom_space, spin)
-from .pbw import _coerce_scalar, pq_number
+from .linalg import (FieldMatrix, SparseEchelon, _make, _norton,
+                     _spin_mod_p, algebra_span_dim, is_invertible,
+                     left_kernel, matrix_hom_space, spin)
+from .pbw import _coerce_scalar, _pq_numbers
 
 Z_TORSION = "Z_TORSION"
 THETA_TORSION = "THETA_TORSION"
@@ -159,15 +159,15 @@ def build_v1(params: AlgebraParams, mu, lam, gamma) -> MatrixRep:
     lam = _coerce_scalar(params, lam, "lam")
     gamma = _coerce_scalar(params, gamma, "gamma")
     pq = params.power(1, 1)
-    mu_inv = mu.inverse()
     # pq - 1 is not a root of unity, so this inverse is field arithmetic
-    denom_inv = (pq - CycNumber.one(cond)).inverse()
+    scale = mu.inverse() * (pq - CycNumber.one(cond)).inverse()
+    pq_gamma = pq * gamma
     mz = FieldMatrix.diagonal([params.power(k, 0) * lam for k in range(l)], cond)
     mx = FieldMatrix.from_entries(l, l, {(k, (k + 1) % l): mu
                                          for k in range(l)}, cond)
     my = FieldMatrix.from_entries(l, l, {
-        (k, (k - 1) % l): (mu_inv * params.power(0, -k)
-                           * (pq * gamma - params.power(k, k) * lam) * denom_inv)
+        (k, (k - 1) % l): (scale * params.power(0, -k)
+                           * (pq_gamma - params.power(k, k) * lam))
         for k in range(l)}, cond)
     return MatrixRep(params, l, mx, my, mz)
 
@@ -182,11 +182,11 @@ def build_v2(params: AlgebraParams, mu, lam) -> MatrixRep:
     cond = params.conductor
     mu = _coerce_scalar(params, mu, "mu")
     lam = _coerce_scalar(params, lam, "lam")
-    mu_inv = mu.inverse()
+    scale = mu.inverse() * lam
+    numbers = _pq_numbers(params, l)
     mz = FieldMatrix.diagonal([params.power(-k, 0) * lam for k in range(l)], cond)
-    mx = FieldMatrix.from_entries(l, l, {
-        (k, k - 1): mu_inv * lam * pq_number(params, k)
-        for k in range(1, l)}, cond)
+    mx = FieldMatrix.from_entries(l, l, {(k, k - 1): scale * numbers[k]
+                                         for k in range(1, l)}, cond)
     my = FieldMatrix.from_entries(l, l, {(k, (k + 1) % l): mu
                                          for k in range(l)}, cond)
     return MatrixRep(params, l, mx, my, mz)
@@ -201,8 +201,9 @@ def build_v3(params: AlgebraParams, lam) -> MatrixRep:
     cond = params.conductor
     lam = _coerce_scalar(params, lam, "lam")
     d = ord_formula(params.m, params.n, params.k1, params.k2)
+    numbers = _pq_numbers(params, d)
     mz = FieldMatrix.diagonal([params.power(-k, 0) * lam for k in range(d)], cond)
-    mx = FieldMatrix.from_entries(d, d, {(k, k - 1): lam * pq_number(params, k)
+    mx = FieldMatrix.from_entries(d, d, {(k, k - 1): lam * numbers[k]
                                          for k in range(1, d)}, cond)
     my = FieldMatrix.from_entries(d, d, {(k, k + 1): 1
                                          for k in range(d - 1)}, cond)
@@ -286,10 +287,16 @@ def verify_relations(rep: MatrixRep) -> RelationCheck:
 
     Keys: "zx" for Mz Mx - p^{-1} Mx Mz, "zy" for Mz My - p My Mz,
     "yx" for My Mx - q Mx My - Mz.  ok is True iff all three vanish.
-    The two sides of each relation are compared before they are
-    subtracted, so a relation that holds costs its products and no
-    subtraction.  The products My Mx and Mx My also give the theta
-    matrix, which is kept for `theta_matrix`.
+
+    When Mz is diagonal, with z_i at (i, i), entry (i, j) of the "zx"
+    residual is x_ij (z_i - p^{-1} z_j) and of the "zy" residual
+    y_ij (z_i - p z_j): each c z_j is formed once per column, and x_ij
+    or y_ij is multiplied only where the two weights differ, so on a
+    weight module these two relations cost no product with an entry of
+    Mx or My.  Otherwise both sides are formed as matrix products.  The
+    two sides of "yx" are compared before they are subtracted; the
+    products My Mx and Mx My also give the theta matrix, which is kept
+    for `theta_matrix`.  Every residual is the same matrix either way.
 
     A passing verdict is kept on the module object: a later call forms
     no product and returns a fresh result whose residuals are zero
@@ -302,17 +309,34 @@ def verify_relations(rep: MatrixRep) -> RelationCheck:
             for key in ("zx", "zy", "yx")})
     mx, my, mz = rep.Mx, rep.My, rep.Mz
     yx, xy = my * mx, mx * my
-    residuals = {
-        "zx": _residual(mz * mx, (mx * mz).scale(params.power(-1, 0))),
-        "zy": _residual(mz * my, (my * mz).scale(params.p)),
-        "yx": _residual(yx, xy.scale(params.q) + mz),
-    }
+    p_inv, p = params.power(-1, 0), params.p
+    if (mz.is_diagonal() and mz.shape == mx.shape == my.shape
+            and mz.conductor == mx.conductor == my.conductor == p.conductor):
+        zero = CycNumber.zero(mz.conductor)
+        weights = [row.get(i, zero) for i, row in enumerate(mz._rows)]
+        zx = _weight_residual(mx, weights, p_inv)
+        zy = _weight_residual(my, weights, p)
+    else:
+        zx = _residual(mz * mx, (mx * mz).scale(p_inv))
+        zy = _residual(mz * my, (my * mz).scale(p))
+    residuals = {"zx": zx, "zy": zy,
+                 "yx": _residual(yx, xy.scale(params.q) + mz)}
     if "_theta" not in rep.__dict__:
         rep.__dict__["_theta"] = _theta(rep, yx, xy)
     ok = all(r.is_zero() for r in residuals.values())
     if ok:
         rep.__dict__["_relations_ok"] = True
     return RelationCheck(ok=ok, residuals=residuals)
+
+
+def _weight_residual(mat: FieldMatrix, weights: list,
+                     c: CycNumber) -> FieldMatrix:
+    # Mz M - c M Mz for Mz = diag(weights): entry (i, j) is m_ij (z_i - c z_j)
+    shifted = [c * z for z in weights]
+    return _make(mat.shape, [{j: m * (z - shifted[j]) for j, m in row.items()
+                              if z != shifted[j]}
+                             for z, row in zip(weights, mat._rows)],
+                 mat.conductor)
 
 
 def _residual(lhs: FieldMatrix, rhs: FieldMatrix) -> FieldMatrix:

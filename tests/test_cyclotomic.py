@@ -415,3 +415,43 @@ def test_property_parse_coord_matches_fraction(text):
                                   "/2", "1/-2", "1/2/3", "\u0661", "", "--1"])
 def test_parse_coord_edge_texts(text):
     assert _outcome(_parse_coord, text) == _outcome(Fraction, text)
+
+
+# a whole coordinate list: mostly to_json's spellings, with the edge texts,
+# a bool and a float mixed in, and now and then a list of the wrong length
+_EDGE_TEXTS = ("-0", "0/5", "2/4", "007", "+3", " 3", "1/-2", "1e3", "1/0",
+               "\u0661", True, 2.5)
+
+
+@st.composite
+def _coeff_lists(draw):
+    conductor = draw(st.sampled_from((1, 3, 4, 5, 6, 12)))
+    size = euler_phi(conductor) + draw(st.sampled_from((0, 0, 0, 0, -1, 1)))
+    coord = st.one_of(st.integers(-10 ** 30, 10 ** 30).map(str),
+                      st.fractions().map(str), st.sampled_from(_EDGE_TEXTS),
+                      _COORD_TEXT)
+    return conductor, draw(st.lists(coord, min_size=max(size, 0),
+                                    max_size=max(size, 0)))
+
+
+def _from_json_by_fraction(data):
+    return CycNumber(data["conductor"], [Fraction(t) for t in data["coeffs"]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_coeff_lists())
+def test_property_from_json_matches_fraction(case):
+    conductor, coeffs = case
+    data = {"conductor": conductor, "coeffs": coeffs}
+    got = _outcome(CycNumber.from_json, data)
+    assert got == _outcome(_from_json_by_fraction, data)
+    if isinstance(got, CycNumber):
+        _assert_normalised(got)
+
+
+@pytest.mark.parametrize("text", _EDGE_TEXTS)
+def test_from_json_edge_texts(text):
+    for coeffs in ([text, "1/3"], ["-5/6", text]):
+        data = {"conductor": 6, "coeffs": coeffs}
+        assert _outcome(CycNumber.from_json, data) == \
+            _outcome(_from_json_by_fraction, data)

@@ -13,6 +13,8 @@ from qheisenberg.cyclotomic import CycNumber, zeta_power
 from qheisenberg.linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
                                 is_invertible, matrix_hom_space, row_reduce)
 
+from matrix_helpers import matrix_power
+
 
 def cyc(n, v):
     return CycNumber.from_rational(n, v)
@@ -125,12 +127,12 @@ class TestFieldMatrix:
 
     def test_pow(self):
         c = FieldMatrix([[0, 1], [1, 0]], conductor=4)
-        assert c ** 0 == FieldMatrix.identity(2, 4)
-        assert c ** 1 == c
-        assert c ** 2 == FieldMatrix.identity(2, 4)
-        assert c ** 5 == c
+        assert matrix_power(c, 0) == FieldMatrix.identity(2, 4)
+        assert matrix_power(c, 1) == c
+        assert matrix_power(c, 2) == FieldMatrix.identity(2, 4)
+        assert matrix_power(c, 5) == c
         with pytest.raises(ValueError):
-            c ** -1
+            matrix_power(c, -1)
 
     def test_transpose(self):
         a = FieldMatrix([[1, 2], [3, 4]], conductor=4)
@@ -451,7 +453,7 @@ def test_property_sparse_ops_match_dense(data, conductor, n, k, m, e):
                          for r, r2 in zip(ra, ra2)])
     assert same(a.scale(c), [[x * c for x in r] for r in ra])
     assert same(a.transpose(), [list(col) for col in zip(*ra)])
-    assert same(sq ** e, dense_pow(sq.rows, e))
+    assert same(matrix_power(sq, e), dense_pow(sq.rows, e))
     assert a.is_zero() == all(x.is_zero() for r in ra for x in r)
     assert FieldMatrix(ra, conductor) == a
     assert FieldMatrix.from_json(a.to_json()) == a

@@ -25,7 +25,7 @@ from qheisenberg.pbw import (
     product_via_rewriting,
     theta,
 )
-from qheisenberg.pbw import _yk_xj
+from qheisenberg.pbw import _pq_numbers, _yk_xj
 
 PS23 = derive_params(2, 3, 1, 1)
 PS44 = derive_params(4, 4, 1, 1)
@@ -116,6 +116,24 @@ def test_pq_number():
             quotient = (ps.q ** k - ps.p ** -k) * denom.inverse()
             assert pq_number(ps, k) == quotient
             assert pq_number(ps, k).is_zero() == (k % o == 0)
+
+
+def test_running_pq_numbers_match_pq_number():
+    # the builders' list [0], ..., [l], one from the last, at every
+    # parameter set with l <= 24
+    seen = 0
+    for m in range(1, 25):
+        for n in range(1, 25):
+            if math.lcm(m, n) > 24:
+                continue
+            for k1, k2 in valid_pairs(m, n):
+                ps = derive_params(m, n, k1, k2)
+                assert ps.l <= 24
+                numbers = _pq_numbers(ps, ps.l + 1)
+                assert len(numbers) == ps.l + 1
+                assert numbers == [pq_number(ps, k) for k in range(ps.l + 1)]
+                seen += 1
+    assert seen > 1000
 
 
 def test_product_canonical_no_zero_terms():

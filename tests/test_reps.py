@@ -35,6 +35,8 @@ from qheisenberg.reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
 from qheisenberg.linalg import _spin_mod_p
 from qheisenberg.reps import _spin_finds_submodule
 
+from matrix_helpers import matrix_power
+
 P23 = derive_params(2, 3, 1, 1)
 P44 = derive_params(4, 4, 1, 1)
 P24 = derive_params(2, 4, 1, 1)
@@ -144,11 +146,11 @@ class TestBuilders:
     def test_cycle_powers(self):
         mu = zeta_power(6, 1)
         rep = build_v1(P23, mu, 2, 3)
-        power = rep.Mx ** 6
+        power = matrix_power(rep.Mx, 6)
         assert power.is_scalar() and power[0][0] == mu ** 6
         rep = build_v2(P23, mu, 2)
-        assert (rep.Mx ** 6).is_zero()
-        power = rep.My ** 6
+        assert matrix_power(rep.Mx, 6).is_zero()
+        power = matrix_power(rep.My, 6)
         assert power.is_scalar() and power[0][0] == mu ** 6
 
     def test_scalar_validation(self):
@@ -314,6 +316,95 @@ class TestModuleMemo:
             assert module_answers(fresh(rep)) == warm
 
 
+def dense_product(a, b):
+    """a * b written out entry by entry over the dense rows."""
+    cond = a.conductor
+    cols = list(zip(*b.rows))
+    rows = [[sum((x * y for x, y in zip(row, col)), CycNumber.zero(cond))
+             for col in cols] for row in a.rows]
+    return FieldMatrix(rows, cond)
+
+
+def reference_residuals(rep):
+    """The three residuals from the products of both sides of each relation."""
+    params = rep.params
+    mx, my, mz = rep.Mx, rep.My, rep.Mz
+    return {
+        "zx": dense_product(mz, mx) - dense_product(mx, mz).scale(
+            params.power(-1, 0)),
+        "zy": dense_product(mz, my) - dense_product(my, mz).scale(params.p),
+        "yx": dense_product(my, mx) - dense_product(mx, my).scale(params.q)
+        - mz,
+    }
+
+
+def one_entry_changes(rep, rng):
+    """rep with one entry of Mx, of My, of the diagonal of Mz and (for
+    d > 1) off the diagonal of Mz raised by a nonzero scalar."""
+    d, cond = rep.d, rep.params.conductor
+    bump = sample_scalars(rep.params, rng, 1)[0]
+    k = rng.randrange(d)
+    places = [("Mx", rng.randrange(d), rng.randrange(d)),
+              ("My", rng.randrange(d), rng.randrange(d)), ("Mz", k, k)]
+    if d > 1:
+        places.append(("Mz", k, (k + 1 + rng.randrange(d - 1)) % d))
+    return [dataclasses.replace(rep, **{name: getattr(rep, name)
+                                        + FieldMatrix.from_entries(
+                                            d, d, {(i, j): bump}, cond)})
+            for name, i, j in places]
+
+
+class TestWeightResiduals:
+    """verify_relations reads the z relations entry by entry on a diagonal
+    Mz; its verdict and residuals are the written-out products' either way."""
+
+    def assert_matches_reference(self, rep):
+        check = verify_relations(fresh(rep))
+        want = reference_residuals(rep)
+        assert check.residuals == want, (rep.params.m, rep.params.n, rep.d)
+        assert check.ok == all(r.is_zero() for r in want.values())
+        return check.ok
+
+    def test_property_residuals_match_products(self):
+        rng = random.Random(22)
+        seen = Counter()
+        for params in all_params(6):
+            cond = params.conductor
+            mods = families(params, rng)
+            x, y = sample_scalars(params, rng, 2)
+            mods += [build_one_dim(params, x, 0, y),
+                     build_qplane(params, Z_TORSION, x, y),
+                     direct_sum(mods[0], mods[2]), direct_sum(mods[1], mods[4])]
+            # V1's Mx and My under a diagonal Mz with every other weight
+            # zero, and under Mz = 0
+            v1 = mods[0]
+            mods.append(dataclasses.replace(v1, Mz=FieldMatrix.diagonal(
+                [v1.Mz[i][i] if i % 2 else 0 for i in range(v1.d)], cond)))
+            mods.append(dataclasses.replace(v1, Mz=FieldMatrix.zeros(
+                v1.d, v1.d, cond)))
+            for rep in list(mods):
+                mods += one_entry_changes(rep, rng)
+            mods += [integer_conjugate(rep, rng) for rep in mods[:2]]
+            for rep in mods:
+                ok = self.assert_matches_reference(rep)
+                seen[ok, rep.Mz.is_diagonal()] += 1
+        # both verdicts on both paths
+        assert len(seen) == 4, seen
+
+    def test_weight_module_forms_only_the_theta_products(self, monkeypatch):
+        # QPlaneTheta's Mz is a multiple of Mx My, a shift, so it alone
+        # takes the four products of the z relations
+        products = count_products(monkeypatch)
+        for rep in families(P44, random.Random(5)):
+            del products[:]
+            assert verify_relations(fresh(rep)).ok
+            theta = [(rep.My, rep.Mx), (rep.Mx, rep.My)]
+            if rep.Mz.is_diagonal():
+                assert products == theta
+            else:
+                assert products[:2] == theta and len(products) == 6
+
+
 class TestSimplicity:
     def test_simple_sweep(self):
         rng = random.Random(11)
@@ -404,7 +495,7 @@ class TestSimplicity:
             for rep in reps:
                 for mat, e in ((rep.Mx, l), (rep.My, l), (rep.Mz, m),
                                (theta_matrix(rep), n)):
-                    assert (mat ** e).is_scalar()
+                    assert matrix_power(mat, e).is_scalar()
 
 
 def conjugators(params, d):
@@ -665,7 +756,7 @@ class TestClassify:
         def refuse(self, e):
             raise AssertionError("classify formed a matrix power")
 
-        monkeypatch.setattr(FieldMatrix, "__pow__", refuse)
+        monkeypatch.setattr(FieldMatrix, "__pow__", refuse, raising=False)
         rng = random.Random(20)
         for params in (P23, P44, P24, P13):
             for kind in (KIND_V1, KIND_V2, KIND_V3, KIND_QPLANE_Z,
@@ -684,7 +775,7 @@ class TestClassify:
         # iso_test matches to the builder's, over all five families with
         # cycle scalars c*g^r up to c = 10^20 + 1
         monkeypatch.setattr(FieldMatrix, "__pow__", lambda self, e: pytest.fail(
-            "classify formed a matrix power"))
+            "classify formed a matrix power"), raising=False)
         rng = random.Random(30)
         pool = all_params(6)
         kinds = (KIND_V1, KIND_V2, KIND_V3, KIND_QPLANE_Z, KIND_QPLANE_THETA)
@@ -1768,7 +1859,7 @@ def eigenvalues(mat, exponent):
     the scalar mat^exponent, decided by row_reduce."""
     d, cond = mat.shape[0], mat.conductor
     cands = {mat[i][i] for i in range(d)}
-    power = mat ** exponent
+    power = matrix_power(mat, exponent)
     power = power[0][0] if power.is_scalar() else None
     if power is not None and not power.is_zero():
         base = nth_root_in_field(power, exponent)
