@@ -13,7 +13,8 @@ polynomial modulo it stays in the integers: a product is an integer
 convolution, a reduction and one gcd.  Inverses are products of Galois
 conjugates over the rational norm.  All arithmetic is on Python ints;
 `fractions.Fraction` appears only when parsing input and in the `coeffs`
-view, and floats never do.
+view.  Every rational enters through one reader, `_ratio`, which refuses
+floats and booleans, so no inexact value becomes an exact one.
 
 Elements of different conductors are deliberately incomparable; use
 `embed` to move both into Q(zeta_lcm) first.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from fractions import Fraction
 from math import gcd
 
@@ -166,36 +168,28 @@ def _conjugate(images: tuple, num: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _over_common_den(coeffs) -> tuple[list[int], int]:
-    # rational coordinates as integer numerators over the lcm of their
-    # reduced denominators; that pair is already normalised
-    vec = [c if type(c) is int or type(c) is Fraction else Fraction(c)
-           for c in coeffs]
-    den = math.lcm(*[c.denominator for c in vec])
-    return [c.numerator * (den // c.denominator) for c in vec], den
-
-
-def _split_coord(text):
-    # to_json writes "a", "-a" or "a/b" in ASCII digits; int() reads those
-    # as (numerator, denominator) without Fraction's regular expression.
-    # Any other value gives None and is left to Fraction.
-    if type(text) is str:
-        num, slash, den = text.partition("/")
+def _ratio(value) -> tuple[int, int]:
+    # one coordinate as (n, d), d > 0, not necessarily reduced, from a
+    # non-bool int, a Fraction, another numbers.Rational or text: to_json's
+    # "a", "-a" and "a/b" in ASCII digits are read with int(), any other
+    # text by Fraction.  A bool, float or any other value raises TypeError.
+    kind = type(value)
+    if kind is int:
+        return value, 1
+    if kind is str:
+        num, slash, den = value.partition("/")
         digits = num[1:] if num[:1] == "-" else num
         if digits.isascii() and digits.isdigit():
             if not slash:
                 return int(num), 1
             if den.isascii() and den.isdigit() and int(den):
                 return int(num), int(den)
-    return None
-
-
-def _parse_coord(text):
-    # one coordinate, accepted or rejected exactly as Fraction(text) does
-    pair = _split_coord(text)
-    if pair is None:
-        return Fraction(text)
-    return pair[0] if pair[1] == 1 else Fraction(*pair)
+        value = Fraction(value)
+    elif kind is not Fraction:
+        if kind is bool or not isinstance(value, numbers.Rational):
+            raise TypeError(f"not an exact rational value: {value!r}")
+        return int(value.numerator), int(value.denominator)
+    return value.numerator, value.denominator
 
 
 def _check_json_int(value, name: str = "conductor") -> None:
@@ -234,13 +228,18 @@ class CycNumber:
     __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs) -> None:
+        """phi(N) coordinates, each read by `_ratio` (a bool or float raises
+        TypeError), over the lcm of their denominators, normalised once."""
         phi = euler_phi(conductor)
-        num, den = _over_common_den(coeffs)
-        if len(num) != phi:
+        pairs = [_ratio(c) for c in coeffs]
+        if len(pairs) != phi:
             raise ValueError(f"need exactly {phi} coordinates for conductor {conductor}")
+        den = math.lcm(*[d for _, d in pairs])
+        num = [n * (den // d) for n, d in pairs]
+        g = gcd(den, *num)
         _set_conductor(self, conductor)
-        _set_num(self, tuple(num))
-        _set_den(self, den)
+        _set_num(self, tuple(x // g for x in num))
+        _set_den(self, den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNumber is immutable")
@@ -253,8 +252,10 @@ class CycNumber:
 
     @classmethod
     def from_rational(cls, conductor: int, value) -> CycNumber:
+        """An int or Fraction as it is, anything else read by `_ratio`
+        (a bool or float raises TypeError)."""
         if type(value) is not int and type(value) is not Fraction:
-            value = Fraction(value)
+            value = Fraction(*_ratio(value))
         rest = (0,) * (euler_phi(conductor) - 1)
         return _raw(conductor, (value.numerator,) + rest, value.denominator)
 
@@ -435,19 +436,15 @@ class CycNumber:
     def from_json(cls, data: dict) -> CycNumber:
         """Read {"conductor": int, "coeffs": [coordinate, ...]}; other JSON types raise TypeError.
 
-        phi(N) coordinates written as `to_json` writes them go over the
-        lcm of their denominators and are normalised once; anything else
-        is read coordinate by coordinate with `_parse_coord`.
+        The coordinates are read as the constructor reads them, so a JSON
+        number is an int or raises TypeError, and a text is any spelling
+        that `Fraction` accepts.
         """
         conductor, coeffs = data["conductor"], data["coeffs"]
         _check_json_int(conductor)
         if type(coeffs) is not list:
             raise TypeError(f"coeffs must be a JSON list, got {coeffs!r}")
-        pairs = [_split_coord(s) for s in coeffs]
-        if None in pairs or len(pairs) != euler_phi(conductor):
-            return cls(conductor, [_parse_coord(s) for s in coeffs])
-        den = math.lcm(*[d for _, d in pairs])
-        return _normalised(conductor, [n * (den // d) for n, d in pairs], den)
+        return cls(conductor, coeffs)
 
     def __str__(self) -> str:
         parts = []

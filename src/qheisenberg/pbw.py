@@ -23,7 +23,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .arith import AlgebraParams, ord_formula
-from .cyclotomic import CycNumber
+from .cyclotomic import CycNumber, _check_json_int
 
 DEGREE_CAP = 10 ** 6
 
@@ -217,7 +217,11 @@ class PbwElement:
 
     @classmethod
     def from_json(cls, data: dict) -> PbwElement:
+        """Read `to_json`'s form; an exponent that is not a JSON integer raises TypeError."""
         params = AlgebraParams.from_json(data["params"])
+        for t in data["terms"]:
+            for name in "ijk":
+                _check_json_int(t[name], name)
         return cls(params, {(t["i"], t["j"], t["k"]): CycNumber.from_json(t["c"])
                             for t in data["terms"]})
 

@@ -400,16 +400,20 @@ def span_dim(rep: MatrixRep) -> int:
     is read from a short spin mod P; the relations are not checked.  The
     PI-degree rung of `is_simple` gives no value, so it is not a rung
     here.  The outcome of this ladder is computed once per module object
-    and shared with `is_simple`; the exact span that follows a submodule
-    found by a spin is computed again on every call.
+    and shared with `is_simple`; when a spin has found a submodule, the
+    exact span that follows is computed on the first call and kept in its
+    place, a value below d^2, which `is_simple` reads the same way.
     """
     span = _certified_span(rep)
-    return algebra_span_dim([rep.Mx, rep.My, rep.Mz]) if span is None else span
+    if span is None:
+        span = rep.__dict__["_span"] = algebra_span_dim([rep.Mx, rep.My, rep.Mz])
+    return span
 
 
 def _certified_span(rep: MatrixRep) -> int | None:
-    # d^2 if certified simple, None if a spin finds a submodule, else the
-    # span; kept on the module object, which never changes
+    # d^2 if certified simple, None if a spin finds a submodule (until
+    # span_dim puts the span in its place), else the span; kept on the
+    # module object, which never changes
     if "_span" not in rep.__dict__:
         rep.__dict__["_span"] = _certify_span(rep)
     return rep.__dict__["_span"]

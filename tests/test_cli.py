@@ -437,6 +437,26 @@ class TestExitCodes:
         assert captured.err.startswith("error: malformed module file")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("coeffs", [[2.0, False], [0.1, "0"]],
+                             ids=["float_and_bool", "float"])
+    def test_inexact_coordinate_is_malformed(self, tmp_path, capsys, coeffs):
+        # a JSON number that is not an integer, or a boolean, is not an
+        # exact coordinate, so the file is refused rather than read as 2
+        # or as the binary value of 0.1
+        from qheisenberg.reps import build_v1
+
+        data = build_v1(P23, 2, 3, 5).to_json()
+        data["Mx"][0][1] = {"conductor": 6, "coeffs": coeffs}
+        path = tmp_path / "inexact.json"
+        path.write_text(json.dumps(data))
+        assert main(["module-verify", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: malformed module file")
+        assert "Traceback" not in captured.err
+
     def test_module_simple_on_dense_basis(self, tmp_path, capsys):
         # a V1 module in the basis of a random integer matrix: every
         # matrix entry is nonzero, and the exact span alone ran past 120 s

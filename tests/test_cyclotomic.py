@@ -6,6 +6,7 @@ polynomials over QQ reduced mod Phi_N, for every conductor up to 30.
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from qheisenberg.cyclotomic import (
     roots_of_unity,
     zeta_power,
 )
-from qheisenberg.cyclotomic import _integer_nth_root, _parse_coord, _sub_mul
+from qheisenberg.cyclotomic import _integer_nth_root, _ratio, _sub_mul
 
 
 def test_cyclotomic_polynomial_small_values():
@@ -386,13 +387,16 @@ def test_property_views_round_trip(a):
 
 # "a", "-a" and "a/b" in ASCII digits take the int() path; everything else
 # must reach Fraction, so signs, spaces, dots, exponents, underscores, a
-# zero denominator and the Arabic-Indic digit one are in the alphabet
+# zero denominator and the Arabic-Indic digit one are in the alphabet;
+# ints, Fractions, floats and bools are the values that are not text
 _COORD_TEXT = st.one_of(
     st.integers(-10 ** 30, 10 ** 30).map(str),
     st.fractions().map(str),
     st.text(alphabet="0123456789-/+._e\u0661 ", max_size=8),
     st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(),
     st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
 )
 
 
@@ -404,17 +408,67 @@ def _outcome(parse, text):
         return type(exc)
 
 
+def _exact_value(value):
+    # the oracle: Fraction(value) for text, a non-bool int and any other
+    # rational; a bool or a float is not an exact value
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"not exact: {value!r}")
+    return Fraction(value)
+
+
+def _ratio_value(value):
+    n, d = _ratio(value)
+    assert type(n) is int and type(d) is int and d > 0
+    return Fraction(n, d)
+
+
+# _ratio took over the coordinate parse of module files; the two tests
+# below keep their names from that parse
 @settings(max_examples=400, deadline=None)
 @given(_COORD_TEXT)
 def test_property_parse_coord_matches_fraction(text):
-    assert _outcome(_parse_coord, text) == _outcome(Fraction, text)
+    assert _outcome(_ratio_value, text) == _outcome(_exact_value, text)
 
 
 @pytest.mark.parametrize("text", ["0", "-0", "007", "-12", "2/4", "-7/3", "0/5",
                                   "+1", " 1", "1.5", "1e3", "1_0", "1/0", "-",
                                   "/2", "1/-2", "1/2/3", "\u0661", "", "--1"])
 def test_parse_coord_edge_texts(text):
-    assert _outcome(_parse_coord, text) == _outcome(Fraction, text)
+    assert _outcome(_ratio_value, text) == _outcome(_exact_value, text)
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5, 2.0, 1j, Decimal("0.5"),
+                                   None, [1], b"1"])
+def test_ratio_refuses_inexact_and_foreign_values(value):
+    with pytest.raises(TypeError, match="not an exact rational value"):
+        _ratio(value)
+
+
+def test_ratio_reads_any_rational():
+    assert _ratio(sympy.Rational(-3, 4)) == (-3, 4)
+    assert _ratio(sympy.Integer(5)) == (5, 1)
+    assert all(type(x) is int for x in _ratio(sympy.Rational(7, 2)))
+    assert _ratio(Fraction(6, 4)) == (3, 2)
+    assert _ratio("6/4") == (6, 4)
+    assert _ratio("-12") == (-12, 1)
+
+
+def test_inexact_values_raise_type_error():
+    with pytest.raises(TypeError):
+        CycNumber.from_rational(6, 0.5)
+    with pytest.raises(TypeError):
+        CycNumber.from_rational(6, True)
+    with pytest.raises(TypeError):
+        CycNumber(6, [0.5, 0])
+    with pytest.raises(TypeError):
+        CycNumber(6, [1, False])
+    for coeffs in ([2.0, False], [0.1, "0"], ["1", True]):
+        with pytest.raises(TypeError):
+            CycNumber.from_json({"conductor": 6, "coeffs": coeffs})
+    # the exact spellings of the same values still load
+    assert CycNumber(6, ["1/2", 0]) == CycNumber.from_rational(6, Fraction(1, 2))
+    assert CycNumber.from_rational(6, sympy.Rational(1, 2)) == \
+        CycNumber.from_rational(6, "1/2")
 
 
 # a whole coordinate list: mostly to_json's spellings, with the edge texts,
@@ -435,7 +489,8 @@ def _coeff_lists(draw):
 
 
 def _from_json_by_fraction(data):
-    return CycNumber(data["conductor"], [Fraction(t) for t in data["coeffs"]])
+    return CycNumber(data["conductor"],
+                     [_exact_value(t) for t in data["coeffs"]])
 
 
 @settings(max_examples=400, deadline=None)

@@ -40,6 +40,15 @@ class TestFieldMatrix:
         m = FieldMatrix([[1, Fraction(1, 2)], [0, 2]], conductor=6)
         assert m[0][1] == cyc(6, Fraction(1, 2))
 
+    def test_inexact_entries_raise_type_error(self):
+        for entry in (0.1, True, 2.0):
+            with pytest.raises(TypeError):
+                FieldMatrix([[entry]], 6)
+            with pytest.raises(TypeError):
+                FieldMatrix.from_entries(1, 1, {(0, 0): entry}, 6)
+            with pytest.raises(TypeError):
+                FieldMatrix.identity(2, 6).scale(entry)
+
     def test_conductor_required_for_scalar_entries(self):
         with pytest.raises(ValueError):
             FieldMatrix([[1, 2], [3, 4]])

@@ -330,6 +330,21 @@ def test_serialization():
     assert PbwElement.from_json(data) == a
 
 
+def test_inexact_terms_raise_type_error():
+    for c in (0.5, True, 1.0):
+        with pytest.raises(TypeError):
+            PbwElement(PS23, {(0, 0, 0): c})
+
+
+@pytest.mark.parametrize("field,value", [("i", 1.5), ("j", 1.0), ("k", True),
+                                         ("i", "1"), ("k", None)])
+def test_from_json_exponents_must_be_json_integers(field, value):
+    data = mono(PS23, 1, 0, 1, 2).to_json()
+    data["terms"][0][field] = value
+    with pytest.raises(TypeError, match=f"{field} must be a JSON integer"):
+        PbwElement.from_json(data)
+
+
 def test_scalar_from_subfield_is_embedded():
     # zeta_3 = zeta_6^2 and -1 = zeta_2 lie in Q(zeta_6), the field of PS23
     x = generators(PS23)[0]

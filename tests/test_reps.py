@@ -293,6 +293,29 @@ class TestModuleMemo:
         classify(fresh(rep))
         assert len(calls) == 2
 
+    def test_span_after_a_submodule_is_kept(self, monkeypatch):
+        # V3 + V3 and a sum of two OneDim modules in the builders' basis:
+        # the spin of e_0 finds a submodule, so the ladder gives no value
+        # and the first span_dim takes the exact span; later calls, and
+        # is_simple on the sum with d <= l, read it back
+        calls = []
+        exact_span = algebra_span_dim
+
+        def counted(mats):
+            calls.append(len(mats))
+            return exact_span(mats)
+
+        monkeypatch.setattr(reps, "algebra_span_dim", counted)
+        for rep, span in ((direct_sum(build_v3(P23, 1), build_v3(P23, 1)), 36),
+                          (direct_sum(build_one_dim(P23, 1, 0, 0),
+                                      build_one_dim(P23, 2, 0, 0)), 2)):
+            del calls[:]
+            assert span_dim(rep) == span
+            assert calls == [3]
+            assert span_dim(rep) == span
+            assert not is_simple(rep)
+            assert calls == [3]
+
     def test_warm_answers_match_fresh_object(self):
         # builders of every kind with l <= 8, integer conjugates with
         # d <= 8 and perturbed modules: the answers on an object whose
