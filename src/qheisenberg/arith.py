@@ -23,7 +23,8 @@ import dataclasses
 import functools
 import math
 
-from .cyclotomic import CycNumber, _check_json_int, zeta_power
+from .cyclotomic import (CycNumber, _check_json_int, _prime_factorization,
+                         zeta_power)
 
 ALWAYS_MAX = "ALWAYS_MAX"
 ALWAYS_NONMAX = "ALWAYS_NONMAX"
@@ -103,31 +104,34 @@ def is_valid_pair(m: int, n: int, k1: int, k2: int) -> bool:
     return (n // g * k1 + m // g * k2) % l != 0
 
 
+def _admissible(m: int, n: int, k1: int | None = None, k2: int | None = None):
+    # the admissible (k1, k2) for m, n >= 1 in lexicographic order, one at a
+    # time, with a given index held fixed; an index not coprime to its
+    # order is passed over before is_valid_pair is asked
+    for a in range(m) if k1 is None else (k1,):
+        if math.gcd(a, m) == 1:
+            for b in range(n) if k2 is None else (k2,):
+                if math.gcd(b, n) == 1 and is_valid_pair(m, n, a, b):
+                    yield a, b
+
+
+def _require_admissible(m: int, n: int) -> None:
+    # stops at the first admissible pair rather than listing them all
+    if m < 1 or n < 1 or next(_admissible(m, n), None) is None:
+        raise InvalidParameters(f"no admissible parameters for (m, n) = ({m}, {n})")
+
+
 def valid_pairs(m: int, n: int) -> list[tuple[int, int]]:
     """All admissible (k1, k2) for the order pair (m, n), sorted."""
     if m < 1 or n < 1:
         return []
-    return [(k1, k2) for k1 in range(m) for k2 in range(n)
-            if is_valid_pair(m, n, k1, k2)]
+    return list(_admissible(m, n))
 
 
 def _order_is(a: CycNumber, k: int) -> bool:
     # ord(a) == k via the divisor criterion: a^k = 1 and a^(k/r) != 1
     # for every prime r | k; binary powering keeps large conductors cheap
-    if a ** k != 1:
-        return False
-    r = 2
-    kk = k
-    while r * r <= kk:
-        if kk % r == 0:
-            if a ** (k // r) == 1:
-                return False
-            while kk % r == 0:
-                kk //= r
-        r += 1
-    if kk > 1 and a ** (k // kk) == 1:
-        return False
-    return True
+    return a ** k == 1 and all(a ** (k // r) != 1 for r in _prime_factorization(k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,13 +175,10 @@ def derive_params(m: int, n: int, k1: int | None = None, k2: int | None = None,
     if k2 is not None and math.gcd(k2, n) != 1:
         raise InvalidParameters(f"gcd(k2, n) = gcd({k2}, {n}) != 1")
     if k1 is None or k2 is None:
-        pairs = valid_pairs(m, n)
-        if not pairs:
-            raise InvalidParameters(f"no admissible parameters for (m, n) = ({m}, {n})")
-        # pairs are sorted, so the first fit pairs a given index with its
-        # smallest partner
-        fit = next(((a, b) for a, b in pairs
-                    if k1 in (None, a) and k2 in (None, b)), None)
+        _require_admissible(m, n)
+        # pairs come in lexicographic order, so the first fit pairs a given
+        # index with its smallest partner
+        fit = next(_admissible(m, n, k1, k2), None)
         if fit is None:
             name, k = ("k1", k1) if k2 is None else ("k2", k2)
             raise InvalidParameters(f"{name} = {k} has no admissible partner "
@@ -195,98 +196,60 @@ def derive_params(m: int, n: int, k1: int | None = None, k2: int | None = None,
 
 # --- integer matrices -------------------------------------------------------
 
-def int_identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def smith_normal_form(mat: list[list[int]]) -> list[int]:
+    """The diagonal of the Smith normal form of an integer matrix.
 
+    Unimodular row and column operations diagonalize a copy of mat; the
+    min(rows, cols) diagonal entries are nonnegative, each dividing the
+    next.  The transforms themselves are not kept.
 
-def smith_normal_form(mat: list[list[int]]):
-    """Diagonalize an integer matrix by unimodular row and column operations.
-
-    Returns (diag, U, V) with U @ mat @ V diagonal, each diagonal entry
-    nonnegative and dividing the next, and det(U), det(V) = +-1.
-
-    >>> d, U, V = smith_normal_form([[0, -3, 3], [3, 0, -2], [-3, 2, 0]])
-    >>> d
+    >>> smith_normal_form([[0, -3, 3], [3, 0, -2], [-3, 2, 0]])
     [1, 1, 0]
-    >>> smith_normal_form([[2, 0], [0, 3]])[0]
+    >>> smith_normal_form([[2, 0], [0, 3]])
     [1, 6]
     """
     a = [row[:] for row in mat]
     rows, cols = len(a), len(a[0])
-    u = int_identity(rows)
-    v = int_identity(cols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def add_row(i, j, c):
-        # row_i += c * row_j
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, c):
-        for r in range(rows):
-            a[r][i] += c * a[r][j]
-        for r in range(cols):
-            v[r][i] += c * v[r][j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
     for t in range(min(rows, cols)):
         while True:
-            pivot = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if a[i][j] and (pivot is None
-                                    or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
+            # the first entry of least nonzero size in the trailing block
+            pivot = min(((i, j) for i in range(t, rows) for j in range(t, cols)
+                         if a[i][j]), key=lambda ij: abs(a[ij[0]][ij[1]]),
+                        default=None)
             if pivot is None:
                 break
-            if pivot != (t, t):
-                if pivot[0] != t:
-                    swap_rows(t, pivot[0])
-                if pivot[1] != t:
-                    swap_cols(t, pivot[1])
+            i, j = pivot
+            a[t], a[i] = a[i], a[t]
+            if j != t:
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
             # clear column t, then row t; a nonzero remainder becomes the
             # new (strictly smaller) pivot, so this terminates
             dirty = False
             for i in range(t + 1, rows):
                 if a[i][t]:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
+                    c = a[i][t] // a[t][t]
+                    a[i] = [x - c * y for x, y in zip(a[i], a[t])]
                     if a[i][t]:
                         dirty = True
             for j in range(t + 1, cols):
                 if a[t][j]:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
+                    c = a[t][j] // a[t][t]
+                    for row in a:
+                        row[j] -= c * row[t]
                     if a[t][j]:
                         dirty = True
             if dirty:
                 continue
             # force divisibility of the trailing block by the pivot
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, rows) if any(
+                a[i][j] % a[t][t] for j in range(t + 1, cols))), None)
             if offender is None:
                 break
-            add_row(t, offender, 1)
-    diag = [a[i][i] for i in range(min(rows, cols))]
-    return diag, u, v
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+    return [a[i][i] for i in range(min(rows, cols))]
 
 
 # --- derived integer invariants --------------------------------------------
@@ -306,7 +269,7 @@ def relation_matrix(params: AlgebraParams) -> list[list[int]]:
 
 def pi_degree_snf(params: AlgebraParams) -> int:
     """PI degree l / gcd(h1, l), h1 = first invariant factor of the twist matrix."""
-    diag, _, _ = smith_normal_form(relation_matrix(params))
+    diag = smith_normal_form(relation_matrix(params))
     h1 = diag[0]
     # the 3x3 twist matrix always has invariant factors (h1, h1, 0)
     if diag[1] != h1 or diag[2] != 0:
@@ -323,8 +286,7 @@ def pi_degree_snf(params: AlgebraParams) -> int:
 
 def pi_degree(m: int, n: int) -> int:
     """PI degree of the whole algebra: lcm(m, n)."""
-    if not valid_pairs(m, n):
-        raise InvalidParameters(f"no admissible parameters for (m, n) = ({m}, {n})")
+    _require_admissible(m, n)
     return math.lcm(m, n)
 
 
@@ -372,19 +334,6 @@ def pair_rs(params: AlgebraParams) -> tuple[int, int]:
 
 # --- order-pair classification ---------------------------------------------
 
-def _prime_factorization(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 @dataclasses.dataclass
 class OrderReport:
     """Brute-force ord(pq) table over every admissible (k1, k2) for (m, n)."""
@@ -431,8 +380,7 @@ def classify_pair(m: int, n: int) -> str:
     divides them to different powers.  ALWAYS_NONMAX iff m and n are
     exactly divisible by the same positive power of 2.  MIXED otherwise.
     """
-    if not valid_pairs(m, n):
-        raise InvalidParameters(f"no admissible parameters for (m, n) = ({m}, {n})")
+    _require_admissible(m, n)
     em = _prime_factorization(m)
     en = _prime_factorization(n)
     if (m == n and em == {m: 1}) or all(

@@ -297,11 +297,11 @@ def _params_from(args) -> AlgebraParams:
 
 def _cmd_pideg(args):
     params = _params_from(args)
-    diag, _, _ = smith_normal_form(relation_matrix(params))
+    diag = smith_normal_form(relation_matrix(params))
     payload = {"l": params.l,
                "pideg_theorem": pi_degree(params.m, params.n),
                "pideg_snf": pi_degree_snf(params),
-               "invariant_factors": list(diag)}
+               "invariant_factors": diag}
     lines = [f"l: {params.l}",
              f"pideg_theorem: {payload['pideg_theorem']}",
              f"pideg_snf: {payload['pideg_snf']}",

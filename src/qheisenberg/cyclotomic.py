@@ -33,6 +33,19 @@ class ConductorMismatch(ValueError):
     """Raised when combining elements of different cyclotomic fields."""
 
 
+def _prime_factorization(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler's totient.
@@ -42,18 +55,9 @@ def euler_phi(n: int) -> int:
     """
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    for p in _prime_factorization(n):
+        n -= n // p
+    return n
 
 
 def _int_poly_exact_div(a: list[int], b: tuple[int, ...]) -> list[int]:
@@ -198,6 +202,14 @@ def _check_json_int(value, name: str = "conductor") -> None:
         raise TypeError(f"{name} must be a JSON integer, got {value!r}")
 
 
+def _check_conductor(conductor) -> None:
+    # a conductor named by a caller must be a non-bool int >= 1
+    if type(conductor) is not int:
+        raise TypeError(f"conductor must be an int, got {conductor!r}")
+    if conductor < 1:
+        raise ValueError(f"conductor must be >= 1, got {conductor}")
+
+
 def _coord_str(x: int, den: int) -> str:
     # the text of the reduced fraction x/den, as str(Fraction(x, den))
     g = gcd(x, den)
@@ -229,7 +241,10 @@ class CycNumber:
 
     def __init__(self, conductor: int, coeffs) -> None:
         """phi(N) coordinates, each read by `_ratio` (a bool or float raises
-        TypeError), over the lcm of their denominators, normalised once."""
+        TypeError), over the lcm of their denominators, normalised once.
+        A conductor that is not an int raises TypeError, one below 1
+        ValueError."""
+        _check_conductor(conductor)
         phi = euler_phi(conductor)
         pairs = [_ratio(c) for c in coeffs]
         if len(pairs) != phi:

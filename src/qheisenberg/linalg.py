@@ -1,10 +1,13 @@
 """Exact linear algebra over cyclotomic fields.
 
 One sparse matrix type, `FieldMatrix`, holds every module matrix: each
-row keeps only its nonzero CycNumber entries.  The representation
-matrices here have at most one nonzero entry per row (diagonal, cyclic
-shift, or shift times diagonal), so products, sums and relation residuals
-cost O(nonzeros) rather than O(l^3).  On top of it sits one exact
+row keeps only its nonzero CycNumber entries.  Storage, sums and
+transposes cost O(nonzeros): O(d) on the builders' bases, whose
+matrices have at most one nonzero entry per row (diagonal, cyclic shift,
+or shift times diagonal), and O(d^2) on a dense basis, which `classify`
+and `find_intertwiner` also take.  A product A B costs one scalar
+multiplication per nonzero A[i][t] and nonzero of row t of B: O(d) on
+the builders' bases, O(d^3) on dense ones.  On top of it sits one exact
 elimination, `SparseEchelon`, whose pivot rows have lead entry 1.  It
 serves every exact rank, kernel and span: `left_kernel` (so
 `is_invertible`), intertwiner spaces, and `spin`, the one walk that
@@ -20,7 +23,8 @@ from fractions import Fraction
 from itertools import accumulate, product
 
 from . import modular
-from .cyclotomic import CycNumber, _check_json_int, _sub_mul, euler_phi
+from .cyclotomic import (CycNumber, _check_conductor, _check_json_int, _sub_mul,
+                         euler_phi)
 
 
 class FieldMatrix:
@@ -57,6 +61,7 @@ class FieldMatrix:
 
     def _init_entries(self, nrows: int, ncols: int, entries: dict,
                conductor: int) -> FieldMatrix:
+        _check_conductor(conductor)
         if nrows < 1 or ncols < 1:
             raise ValueError("matrix needs at least one entry")
         rows: list[dict] = [{} for _ in range(nrows)]
@@ -89,7 +94,8 @@ class FieldMatrix:
         """The nrows x ncols matrix with the given {(i, j): value} entries.
 
         Values may be CycNumber, int or Fraction.  Zero values are dropped
-        and every position not given is zero.
+        and every position not given is zero.  A conductor that is not an
+        int raises TypeError, one below 1 ValueError.
         """
         return object.__new__(cls)._init_entries(nrows, ncols, entries, conductor)
 
@@ -203,14 +209,6 @@ class FieldMatrix:
 
     def is_zero(self) -> bool:
         return not any(self._rows)
-
-    def is_scalar(self) -> bool:
-        n, m = self.shape
-        if n != m:
-            return False
-        c = self._rows[0].get(0)
-        return all(row == ({} if c is None else {i: c})
-                   for i, row in enumerate(self._rows))
 
     def is_diagonal(self) -> bool:
         n, m = self.shape

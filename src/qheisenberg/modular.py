@@ -15,7 +15,7 @@ matrices mod P and an empty F_P echelon with the exact echelon's
 contract, for `linalg.spin` to walk.  Each returns None when an entry
 has a denominator divisible by P, so that no reduction exists.  The
 prime and w are found once per conductor, on first use.  This module
-imports nothing from `linalg`, which imports it.
+imports only `cyclotomic`; `linalg` imports it.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import functools
 from heapq import heapify, heappop, heappush
 from itertools import count
 
-from .arith import _prime_factorization
-from .cyclotomic import euler_phi
+from .cyclotomic import _prime_factorization, euler_phi
 
 _PRIME_FLOOR = 1 << 31
 # Miller-Rabin with these bases decides primality for every n below

@@ -65,7 +65,11 @@ def _pq_numbers(params: AlgebraParams, count: int) -> list[CycNumber]:
 
 
 class PbwElement:
-    """An element of H_{p,q} in the z-before-x-before-y normal form."""
+    """An element of H_{p,q} in the z-before-x-before-y normal form.
+
+    A coefficient from a subfield of Q(zeta_conductor) is embedded; one
+    from any other field raises ValueError.
+    """
 
     __slots__ = ("params", "terms")
 
@@ -78,6 +82,8 @@ class PbwElement:
                 raise OverflowError(f"exponent beyond the degree cap {DEGREE_CAP}")
             if not isinstance(c, CycNumber):
                 c = CycNumber.from_rational(params.conductor, c)
+            elif c.conductor != params.conductor:
+                c = _coerce_scalar(params, c, nonzero=False)
             if not c.is_zero():
                 clean[(i, j, k)] = c
         object.__setattr__(self, "params", params)

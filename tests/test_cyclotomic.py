@@ -23,7 +23,8 @@ from qheisenberg.cyclotomic import (
     roots_of_unity,
     zeta_power,
 )
-from qheisenberg.cyclotomic import _integer_nth_root, _ratio, _sub_mul
+from qheisenberg.cyclotomic import (_integer_nth_root, _prime_factorization,
+                                    _ratio, _sub_mul)
 
 
 def test_cyclotomic_polynomial_small_values():
@@ -510,3 +511,24 @@ def test_from_json_edge_texts(text):
         data = {"conductor": 6, "coeffs": coeffs}
         assert _outcome(CycNumber.from_json, data) == \
             _outcome(_from_json_by_fraction, data)
+
+
+def test_factorization_and_totient_match_sympy():
+    for n in range(1, 2001):
+        assert _prime_factorization(n) == sympy.factorint(n), n
+        assert euler_phi(n) == sympy.totient(n), n
+    with pytest.raises(ValueError):
+        euler_phi(0)
+
+
+@pytest.mark.parametrize("conductor", [6.0, True, "6", None, Fraction(6)])
+def test_conductor_must_be_an_int(conductor):
+    with pytest.raises(TypeError) as err:
+        CycNumber(conductor, [1, 2])
+    assert str(err.value) == f"conductor must be an int, got {conductor!r}"
+
+
+@pytest.mark.parametrize("conductor", [0, -6])
+def test_conductor_below_one_raises_value_error(conductor):
+    with pytest.raises(ValueError, match=f"conductor must be >= 1, got {conductor}"):
+        CycNumber(conductor, [])

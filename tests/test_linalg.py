@@ -13,7 +13,7 @@ from qheisenberg.cyclotomic import CycNumber, zeta_power
 from qheisenberg.linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
                                 is_invertible, matrix_hom_space, row_reduce)
 
-from matrix_helpers import matrix_power
+from matrix_helpers import is_scalar, matrix_power
 
 
 def cyc(n, v):
@@ -48,6 +48,26 @@ class TestFieldMatrix:
                 FieldMatrix.from_entries(1, 1, {(0, 0): entry}, 6)
             with pytest.raises(TypeError):
                 FieldMatrix.identity(2, 6).scale(entry)
+
+    @pytest.mark.parametrize("conductor", [6.0, True, "6"])
+    def test_conductor_must_be_an_int(self, conductor):
+        builds = (lambda: FieldMatrix.from_entries(2, 2, {(0, 0): 1}, conductor),
+                  lambda: FieldMatrix([[1, 0], [0, 1]], conductor),
+                  lambda: FieldMatrix.identity(2, conductor),
+                  lambda: FieldMatrix.zeros(2, 2, conductor),
+                  lambda: FieldMatrix.diagonal([1, 2], conductor))
+        for build in builds:
+            with pytest.raises(TypeError, match="conductor must be an int, got "
+                                                f"{conductor!r}"):
+                build()
+
+    @pytest.mark.parametrize("conductor", [0, -6])
+    def test_conductor_below_one_raises_value_error(self, conductor):
+        for build in (lambda: FieldMatrix.from_entries(1, 1, {}, conductor),
+                      lambda: FieldMatrix([[1]], conductor),
+                      lambda: FieldMatrix.identity(1, conductor)):
+            with pytest.raises(ValueError, match=f"conductor must be >= 1, got {conductor}"):
+                build()
 
     def test_conductor_required_for_scalar_entries(self):
         with pytest.raises(ValueError):
@@ -149,12 +169,12 @@ class TestFieldMatrix:
 
     def test_scalar_detection(self):
         s = FieldMatrix.identity(3, 6).scale(cyc(6, Fraction(2, 3)))
-        assert s.is_scalar()
+        assert is_scalar(s)
         assert s[0][0] == cyc(6, Fraction(2, 3))
         ns = FieldMatrix.diagonal([cyc(6, 1), cyc(6, 2)], 6)
-        assert not ns.is_scalar()
+        assert not is_scalar(ns)
         zeros = FieldMatrix.zeros(2, 2, 6)
-        assert zeros.is_scalar() and zeros[0][0] == cyc(6, 0)
+        assert is_scalar(zeros) and zeros[0][0] == cyc(6, 0)
 
     def test_json_round_trip(self):
         a = FieldMatrix([[zeta_power(6, 1), cyc(6, Fraction(1, 2))],

@@ -336,6 +336,21 @@ def test_inexact_terms_raise_type_error():
             PbwElement(PS23, {(0, 0, 0): c})
 
 
+def test_term_from_a_subfield_is_embedded():
+    # Q(zeta_3) lies inside Q(zeta_6), the field of PS23
+    c = zeta_power(3, 1)
+    elem = PbwElement(PS23, {(0, 0, 0): c})
+    assert elem == PbwElement.scalar(PS23, c)
+    assert elem.terms[(0, 0, 0)] == c.embed(6)
+    assert elem + elem == PbwElement.scalar(PS23, 2 * c)
+
+
+def test_term_from_another_field_raises():
+    # Q(zeta_4) is not a subfield of Q(zeta_6)
+    with pytest.raises(ValueError, match="outside Q\\(zeta_6\\)"):
+        PbwElement(PS23, {(0, 0, 0): zeta_power(4, 1)})
+
+
 @pytest.mark.parametrize("field,value", [("i", 1.5), ("j", 1.0), ("k", True),
                                          ("i", "1"), ("k", None)])
 def test_from_json_exponents_must_be_json_integers(field, value):

@@ -35,7 +35,7 @@ from qheisenberg.reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
 from qheisenberg.linalg import _spin_mod_p
 from qheisenberg.reps import _spin_finds_submodule
 
-from matrix_helpers import matrix_power
+from matrix_helpers import is_scalar, matrix_power
 
 P23 = derive_params(2, 3, 1, 1)
 P44 = derive_params(4, 4, 1, 1)
@@ -147,11 +147,11 @@ class TestBuilders:
         mu = zeta_power(6, 1)
         rep = build_v1(P23, mu, 2, 3)
         power = matrix_power(rep.Mx, 6)
-        assert power.is_scalar() and power[0][0] == mu ** 6
+        assert is_scalar(power) and power[0][0] == mu ** 6
         rep = build_v2(P23, mu, 2)
         assert matrix_power(rep.Mx, 6).is_zero()
         power = matrix_power(rep.My, 6)
-        assert power.is_scalar() and power[0][0] == mu ** 6
+        assert is_scalar(power) and power[0][0] == mu ** 6
 
     def test_scalar_validation(self):
         with pytest.raises(ValueError):
@@ -518,7 +518,7 @@ class TestSimplicity:
             for rep in reps:
                 for mat, e in ((rep.Mx, l), (rep.My, l), (rep.Mz, m),
                                (theta_matrix(rep), n)):
-                    assert matrix_power(mat, e).is_scalar()
+                    assert is_scalar(matrix_power(mat, e))
 
 
 def conjugators(params, d):
@@ -1883,7 +1883,7 @@ def eigenvalues(mat, exponent):
     d, cond = mat.shape[0], mat.conductor
     cands = {mat[i][i] for i in range(d)}
     power = matrix_power(mat, exponent)
-    power = power[0][0] if power.is_scalar() else None
+    power = power[0][0] if is_scalar(power) else None
     if power is not None and not power.is_zero():
         base = nth_root_in_field(power, exponent)
         if base is not None:
