@@ -23,8 +23,8 @@ import dataclasses
 import functools
 import math
 
-from .cyclotomic import (CycNumber, _check_json_int, _prime_factorization,
-                         zeta_power)
+from .cyclotomic import (CycNumber, _check_int, _check_json_int,
+                         _prime_factorization, zeta_power)
 
 ALWAYS_MAX = "ALWAYS_MAX"
 ALWAYS_NONMAX = "ALWAYS_NONMAX"
@@ -155,8 +155,12 @@ def derive_params(m: int, n: int, k1: int | None = None, k2: int | None = None,
     Omitted k1, k2 default to the lexicographically smallest admissible
     pair.  Raises InvalidParameters when the inputs violate any
     admissibility condition, no admissible pair exists, or the conductor
-    (l = lcm(m, n) unless given) exceeds MAX_CONDUCTOR.
+    (l = lcm(m, n) unless given) exceeds MAX_CONDUCTOR.  An argument
+    that is given and is not an int (a bool, a float) raises TypeError.
     """
+    for name, value in dict(m=m, n=n, k1=k1, k2=k2, conductor=conductor).items():
+        if value is not None or name in ("m", "n"):
+            _check_int(value, name)
     if m < 1 or n < 1:
         raise InvalidParameters("orders m, n must be >= 1")
     l = math.lcm(m, n)
@@ -201,13 +205,21 @@ def smith_normal_form(mat: list[list[int]]) -> list[int]:
 
     Unimodular row and column operations diagonalize a copy of mat; the
     min(rows, cols) diagonal entries are nonnegative, each dividing the
-    next.  The transforms themselves are not kept.
+    next.  The transforms themselves are not kept.  mat must be a list of
+    int lists of one length, both non-empty, else TypeError or ValueError.
 
     >>> smith_normal_form([[0, -3, 3], [3, 0, -2], [-3, 2, 0]])
     [1, 1, 0]
     >>> smith_normal_form([[2, 0], [0, 3]])
     [1, 6]
     """
+    if type(mat) is not list or any(type(row) is not list for row in mat):
+        raise TypeError("matrix must be a list of rows, each a list")
+    if not mat or not mat[0] or any(len(row) != len(mat[0]) for row in mat):
+        raise ValueError("matrix must be a non-empty list of rows of one "
+                         "positive length")
+    for x in (x for row in mat for x in row):
+        _check_int(x, "matrix entry")
     a = [row[:] for row in mat]
     rows, cols = len(a), len(a[0])
     for t in range(min(rows, cols)):

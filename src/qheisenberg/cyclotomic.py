@@ -202,10 +202,15 @@ def _check_json_int(value, name: str = "conductor") -> None:
         raise TypeError(f"{name} must be a JSON integer, got {value!r}")
 
 
+def _check_int(value, name: str) -> None:
+    # an argument named by a caller must be a non-bool int
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def _check_conductor(conductor) -> None:
     # a conductor named by a caller must be a non-bool int >= 1
-    if type(conductor) is not int:
-        raise TypeError(f"conductor must be an int, got {conductor!r}")
+    _check_int(conductor, "conductor")
     if conductor < 1:
         raise ValueError(f"conductor must be >= 1, got {conductor}")
 
@@ -603,7 +608,11 @@ def nth_root_in_field(a: CycNumber, n: int) -> CycNumber | None:
     Covers every product of a positive rational and a root of unity; for
     values whose roots exist in the field but lie outside that set it
     returns None (full number-field factorization is out of scope here).
+    n must be an int >= 1, else TypeError or ValueError.
     """
+    _check_int(n, "n")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if a.is_zero():
         return CycNumber.zero(a.conductor)
     cond = a.conductor

@@ -472,15 +472,13 @@ def _spin_mod_p(gens: list[FieldMatrix], seed: dict, full: int) -> int | None:
     return spin(reduced[0], seed, full, reduced[1])
 
 
-def _norton(gens: list[FieldMatrix],
-            elements: list[FieldMatrix]) -> bool | None:
+def _norton(gens: list[FieldMatrix], weights: list[tuple]) -> bool | None:
     """Norton's irreducibility test on a standard basis vector, mod P.
 
-    gens are d x d generators, and elements are elements of the unital
-    algebra they generate; those that are diagonal give e_i its joint
-    weight (`joint_weights`).  None is returned when the weights do not
-    tell any two basis vectors apart: no element is diagonal, or each
-    diagonal one is a scalar.
+    gens are d x d generators, and weights[i] is the joint weight of e_i
+    under some diagonal elements of the unital algebra they generate
+    (`_refined_weights`).  None is returned when the weights do not tell
+    any two basis vectors apart.
 
     Suppose e_i has a weight that no other e_j shares.  A generic
     rational combination of the diagonal elements minus its i-th entry
@@ -495,13 +493,39 @@ def _norton(gens: list[FieldMatrix],
     no weight is unique or a spin mod P falls short, which proves nothing.
     """
     d = gens[0].shape[0]
-    weights = joint_weights(elements)
     counts = Counter(weights)
     if len(counts) == 1:
         return None
     i = next((i for i, w in enumerate(weights) if counts[w] == 1), None)
     return (i is not None and _spin_mod_p(gens, {i: 1}, d) == d
             and _spin_mod_p([g.transpose() for g in gens], {i: 1}, d) == d)
+
+
+def _refined_weights(sides: list[list[FieldMatrix]]) -> list[list[tuple]]:
+    # The joint weight of each basis vector of each side (lists of square
+    # generators, one length for all) under the generators diagonal on
+    # every side.  When a weight repeats on some side, each two-letter
+    # word of the others whose pattern is diagonal on every side (for z on
+    # a weight basis: xy and yx) joins them, the same word on every side.
+    zero = CycNumber.zero(sides[0][0].conductor)
+    gens = range(len(sides[0]))
+    diagonal = [g for g in gens if all(side[g].is_diagonal() for side in sides)]
+    mats = [[side[g] for g in diagonal] for side in sides]
+
+    def weights() -> list[list[tuple]]:
+        return [[tuple(m._rows[i].get(i, zero) for m in ms)
+                 for i in range(side[0].shape[0])]
+                for side, ms in zip(sides, mats)]
+
+    out = weights()
+    if any(len(set(w)) < len(w) for w in out):
+        others = [g for g in gens if g not in diagonal]
+        for g, h in product(others, repeat=2):
+            words = _diagonal_words([(side[g], side[h]) for side in sides])
+            for ms, word in zip(mats, words or ()):
+                ms.append(word)
+        out = weights()
+    return out
 
 
 def _diagonal_words(pairs) -> list[FieldMatrix] | None:
@@ -524,13 +548,12 @@ def algebra_span_dim(mats: list[FieldMatrix]) -> int:
     graph with an edge i - j per nonzero (i, j) entry.  With several, a
     block joins the class of an earlier one of its size with a nonzero
     `matrix_hom_space` to it, or else must span all b x b matrices.  That
-    is proven by `_norton` on the block's diagonal generators, joined by
-    the two-letter words whose pattern is diagonal when those leave a
-    weight repeated, or else by the spin of the b x b identity mod P,
-    which is full exactly when it is full mod P.  The value is then the
-    sum of b^2 over the classes (Schur, Wedderburn).  Otherwise, or if a
-    block's span is short mod P or has no reduction, it is the exact
-    `spin` of the identity as d^2 entries.
+    is proven by `_norton` on the block's `_refined_weights`, or else by
+    the spin of the b x b identity mod P, which is full exactly when it
+    is full mod P.  The value is then the sum of b^2 over the classes
+    (Schur, Wedderburn).  Otherwise, or if a block's span is short mod P
+    or has no reduction, it is the exact `spin` of the identity as d^2
+    entries.
     """
     d, conductor = _generator_size(mats)
     rows = [g._rows for g in mats]
@@ -565,12 +588,8 @@ def _block_span(rows: list, d: int, conductor: int) -> int | None:
                                 for i in idx], conductor) for g in rows]
         if any(matrix_hom_space(c, block) for c in classes if c[0].shape == (b, b)):
             continue
-        words = []
-        if len(set(joint_weights(block))) < b:
-            others = [g for g in block if not g.is_diagonal()]
-            words = [w for g, h in product(others, repeat=2)
-                     for w in _diagonal_words([(g, h)]) or ()]
-        if not (_norton(block, block + words) or _spin_mod_p(
+        weights, = _refined_weights([block])
+        if not (_norton(block, weights) or _spin_mod_p(
                 block, {k * b + k: 1 for k in range(b)}, b * b) == b * b):
             return None
         classes.append(block)
@@ -597,39 +616,28 @@ def matrix_hom_space(mats_a: list[FieldMatrix],
     A_g are d_a x d_a, B_g are d_b x d_b; P runs over d_a x d_b matrices.
     Equation (g, i, j) says that entry (i, j) of A_g P - P B_g vanishes.
 
-    Weight support.  For each g with A_g and B_g both diagonal, equation
-    (g, r, c) reads (a_r - b_c) P[r][c] = 0.  So P vanishes off the
-    support, the pairs (r, c) where e_r and e_c have equal joint weights
-    (`joint_weights`) under those pairs.  If two basis vectors of one side
-    share a weight, each word A_g A_h of two other generators whose
-    B_g B_h is diagonal too joins the pairs (for z: xy and yx on a weight
-    basis): every solution has A_g A_h P = A_g P B_h = P B_g B_h, so the
-    word removes only unknowns that vanish on every solution, and the
-    hom space and its basis do not change.  A pair of words is formed
-    only when the sparsity patterns of both products are diagonal
-    (`_diagonal_words`), so words such as xx and yy are never multiplied
-    out; a word that is diagonal only because entries cancel is left
-    out, which leaves a larger support and, as below, the same basis.
-    When the support leaves out some unknown, only the equations that
-    touch the support, restricted to it, are solved, exactly and without
-    a modular step; an empty support gives [].  The kernel of the whole
-    system is that of the restricted one padded with zeros, so its basis,
-    taken over any support off which every solution vanishes, in the
-    same (r, c) order, is the same list as the basis over all d_a * d_b
-    unknowns.
+    For g with A_g and B_g both diagonal, equation (g, r, c) reads
+    (a_r - b_c) P[r][c] = 0, so P vanishes off the support: the (r, c)
+    where e_r and e_c have equal `_refined_weights`.  A word leaves the
+    hom space as it is (every solution has A_g A_h P = P B_g B_h).  One
+    builder forms the equations that touch the support, restricted to it,
+    in (g, i, j) order; it skips each g diagonal on both sides, whose
+    equations vanish there.  The kernel of the whole system is that of
+    the restricted one padded with zeros, so the basis is the same list
+    over any support off which every solution vanishes.  An empty support
+    gives [], and one that leaves out some unknown is solved exactly, all
+    its equations into one echelon, with no modular step.
 
-    Otherwise (no such g, or weights that rule out no unknown, as for a
-    dense basis with z = 0 or for d_a = d_b = 1) the equations are built
-    one at a time, in (g, i, j) order, and `modular.independent` picks
-    those that are independent mod a prime.  If d_a * d_b of them are,
-    only P = 0 solves the system, and [] is returned without exact
-    elimination.  Otherwise only the picked equations go into the exact
-    echelon.  They are independent exactly too, but with an unlucky prime
-    they span less than the whole system, so every kernel matrix is
-    checked exactly against A_g P = P B_g.  If a check fails, or no
-    reduction mod the prime exists, every equation is inserted.  The
-    kernel basis depends only on the row space of the inserted equations,
-    so the answer does not depend on the prime.
+    When the support is every unknown (no diagonal pair, or weights that
+    rule out none, as for a dense basis with z = 0), `modular.independent`
+    picks the equations independent mod a prime.  If d_a * d_b are, only
+    P = 0 solves the system and [] is returned without exact elimination.
+    Otherwise only the picked equations go into the exact echelon; with
+    an unlucky prime they span less than the whole system, so each kernel
+    matrix is checked exactly against A_g P = P B_g, and if a check fails,
+    or no reduction mod the prime exists, every equation is inserted.
+    The kernel basis depends only on the row space of the inserted
+    equations, so the answer does not depend on the prime.
     """
     if len(mats_a) != len(mats_b):
         raise ValueError("generator lists differ in length")
@@ -637,74 +645,56 @@ def matrix_hom_space(mats_a: list[FieldMatrix],
     db, conductor_b = _generator_size(mats_b)
     if conductor_b != conductor:
         raise ValueError("generator conductor mismatch")
-    b_cols = [b.transpose()._rows for b in mats_b]
+    weights_a, weights_b = _refined_weights([mats_a, mats_b])
+    columns: dict = {}
+    for c, w in enumerate(weights_b):
+        columns.setdefault(w, []).append(c)
+    support = [(r, c) for r, w in enumerate(weights_a)
+               for c in columns.get(w, ())]
+    if not support:
+        return []
+    inside = set(support)
+    # P[r][c] enters equation (g, i, c) through A_g[i][r] and equation
+    # (g, r, j) through B_g[c][j]
+    b_cols, touched = {}, set()
+    for g, (a, b) in enumerate(zip(mats_a, mats_b)):
+        if a.is_diagonal() and b.is_diagonal():
+            continue
+        b_cols[g] = b.transpose()._rows
+        a_cols, b_rows = a.transpose()._rows, b._rows
+        for r, c in support:
+            touched.update((g, i, c) for i in a_cols[r])
+            touched.update((g, r, j) for j in b_rows[c])
+    positions = sorted(touched)
 
     def equation(g: int, i: int, j: int) -> dict:
-        # (A P)[i][j] - (P B)[i][j] = 0 in the unknowns P[t][s]
-        eq = {(t, j): v for t, v in mats_a[g]._rows[i].items()}
+        # (A P)[i][j] - (P B)[i][j] = 0 in the unknowns P[t][s] of the support
+        eq = {(t, j): v for t, v in mats_a[g]._rows[i].items()
+              if (t, j) in inside}
         for t, v in b_cols[g][j].items():
-            cur = eq.get((i, t))
-            eq[(i, t)] = -v if cur is None else cur - v
+            if (i, t) in inside:
+                cur = eq.get((i, t))
+                eq[(i, t)] = -v if cur is None else cur - v
         return eq
 
     ech = SparseEchelon(conductor)
 
-    def kernel(over) -> list[FieldMatrix]:
+    def kernel() -> list[FieldMatrix]:
         return [FieldMatrix.from_entries(da, db, sol, conductor)
-                for sol in ech.kernel_basis(over)]
+                for sol in ech.kernel_basis(support)]
 
-    unknowns = [(r, c) for r in range(da) for c in range(db)]
-    support = unknowns
-    diagonal = [g for g, (a, b) in enumerate(zip(mats_a, mats_b))
-                if a.is_diagonal() and b.is_diagonal()]
-    if diagonal:
-        pairs = [(mats_a[g], mats_b[g]) for g in diagonal]
-
-        def weights(side: int) -> list[tuple]:
-            return joint_weights([pair[side] for pair in pairs])
-
-        if len(set(weights(0))) < da or len(set(weights(1))) < db:
-            others = [g for g in range(len(mats_a)) if g not in diagonal]
-            for g, h in product(others, repeat=2):
-                words = _diagonal_words([(mats_a[g], mats_a[h]),
-                                         (mats_b[g], mats_b[h])])
-                if words is not None:
-                    pairs.append(tuple(words))
-        weights_b: dict = {}
-        for c, w in enumerate(weights(1)):
-            weights_b.setdefault(w, []).append(c)
-        support = [(r, c) for r, w in enumerate(weights(0))
-                   for c in weights_b.get(w, ())]
-    if len(support) < da * db:
-        if not support:
+    if len(support) == da * db:
+        picked = modular.independent((equation(*pos) for pos in positions),
+                                     conductor, da * db)
+        if picked is not None and len(picked) == da * db:
             return []
-        # P[r][c] enters equation (g, i, c) through A_g[i][r] and
-        # equation (g, r, j) through B_g[c][j]
-        touched = set()
-        for g in range(len(mats_a)):
-            if g in diagonal:
-                continue
-            a_cols = mats_a[g].transpose()._rows
-            b_rows = mats_b[g]._rows
-            for r, c in support:
-                touched.update((g, i, c) for i in a_cols[r])
-                touched.update((g, r, j) for j in b_rows[c])
-        inside = set(support)
-        for pos in sorted(touched):
-            ech.insert({k: v for k, v in equation(*pos).items() if k in inside})
-        return kernel(support)
-
-    positions = list(product(range(len(mats_a)), range(da), range(db)))
-    picked = modular.independent((equation(*pos) for pos in positions),
-                                 conductor, da * db)
-    if picked is not None and len(picked) == da * db:
-        return []
-    if picked is not None:
-        for k in picked:
-            ech.insert(equation(*positions[k]))
-        basis = kernel(unknowns)
-        if all(a * x == x * b for x in basis for a, b in zip(mats_a, mats_b)):
-            return basis
+        if picked is not None:
+            for k in picked:
+                ech.insert(equation(*positions[k]))
+            basis = kernel()
+            if all(a * x == x * b for x in basis
+                   for a, b in zip(mats_a, mats_b)):
+                return basis
     for pos in positions:
         ech.insert(equation(*pos))
-    return kernel(unknowns)
+    return kernel()

@@ -27,8 +27,8 @@ from .arith import AlgebraParams, ord_formula
 from .cyclotomic import (CycNumber, _check_json_int, nth_root_in_field,
                          roots_of_unity)
 from .linalg import (FieldMatrix, SparseEchelon, _make, _norton,
-                     _spin_mod_p, algebra_span_dim, is_invertible,
-                     left_kernel, matrix_hom_space, spin)
+                     _refined_weights, _spin_mod_p, algebra_span_dim,
+                     is_invertible, left_kernel, matrix_hom_space, spin)
 from .pbw import _coerce_scalar, _pq_numbers
 
 Z_TORSION = "Z_TORSION"
@@ -384,9 +384,8 @@ def span_dim(rep: MatrixRep) -> int:
     The span is d^2 exactly when the module is simple (Burnside).  Each
     rung of this ladder is a `linalg.spin`, mod P or exact:
 
-    * `weight_certificate`: Norton's test (`linalg._norton`) on a standard
-      basis vector with a joint weight of its own under the diagonal ones
-      of Mx, My, Mz and theta; when it holds, the span is d^2.
+    * `weight_certificate`: Norton's test on a standard basis vector with
+      a weight of its own (`linalg._refined_weights`): the span is d^2.
     * The spin of the identity mod a prime P, the span mod P: a rank can
       only fall under reduction, so d^2 mod P proves d^2 exactly.
     * The exact spin of each standard basis vector: a short one is a
@@ -436,19 +435,17 @@ def _certify_span(rep: MatrixRep) -> int | None:
 
 
 def weight_certificate(rep: MatrixRep) -> bool | None:
-    """Norton's irreducibility test (`linalg._norton`) on the weights of
-    those of Mx, My, Mz and the theta matrix that are diagonal.
-
-    None is returned when the weights do not tell any two basis vectors
-    apart: none of the four is diagonal, or each diagonal one is a
-    scalar.  True proves span d^2; False proves nothing.  Theta is formed
-    only when one of Mx, My, Mz is diagonal, so a dense basis pays no
-    product, and it is kept on the module object.
+    """Norton's test (`linalg._norton`) on the `linalg._refined_weights`
+    of Mx, My, Mz and the theta matrix: True proves span d^2, False
+    proves nothing, and None means the weights tell no two basis vectors
+    apart.  Theta is formed, and kept on the module object, only when one
+    of Mx, My, Mz is diagonal, so a dense basis pays no product.
     """
     gens = [rep.Mx, rep.My, rep.Mz]
     if not any(g.is_diagonal() for g in gens):
         return None
-    return _norton(gens, gens + [theta_matrix(rep)])
+    weights, = _refined_weights([gens + [theta_matrix(rep)]])
+    return _norton(gens, weights)
 
 
 def _spin_finds_submodule(gens: list[FieldMatrix], d: int) -> bool:
@@ -700,25 +697,15 @@ def intertwiner(kind: str, desc_a: ModuleDescriptor,
 def find_intertwiner(rep_a: MatrixRep, rep_b: MatrixRep) -> FieldMatrix | None:
     """Solve the intertwining equations exactly; None if only P = 0.
 
-    The hom space is `matrix_hom_space`'s.  When the theta matrices of
-    both modules are diagonal, the pair (theta_a, theta_b) joins the
-    generator lists: theta is an element of the algebra, so the hom space
-    is unchanged, and its weights narrow the weight support.  Theta is
-    kept on the module object, and on a simple weight module it tells
-    apart the vectors that share a z weight, so `matrix_hom_space` needs
-    no word such as xy or yx.  For simple inputs a nonzero solution is
-    automatically invertible (Schur); a nonzero singular solution means
-    some input was not simple, and is reported as an error.
+    The hom space is `matrix_hom_space`'s on (Mx, My, Mz).  For simple
+    inputs a nonzero solution is automatically invertible (Schur); a
+    nonzero singular solution means some input was not simple, and is
+    reported as an error.
     """
     if rep_a.params != rep_b.params:
         raise ValueError("params mismatch between modules")
-    gens_a = [rep_a.Mx, rep_a.My, rep_a.Mz]
-    gens_b = [rep_b.Mx, rep_b.My, rep_b.Mz]
-    th_a, th_b = theta_matrix(rep_a), theta_matrix(rep_b)
-    if th_a.is_diagonal() and th_b.is_diagonal():
-        gens_a.append(th_a)
-        gens_b.append(th_b)
-    basis = matrix_hom_space(gens_a, gens_b)
+    basis = matrix_hom_space([rep_a.Mx, rep_a.My, rep_a.Mz],
+                             [rep_b.Mx, rep_b.My, rep_b.Mz])
     if not basis:
         return None
     for mat in basis:

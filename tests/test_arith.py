@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -120,6 +121,34 @@ def test_derive_params_conductor_limit(monkeypatch):
         derive_params(2, 3, 1, 1, conductor=1002)
 
 
+@pytest.mark.parametrize("args,kwargs,name", [
+    ((2, 3, True, 1), {}, "k1"),
+    ((2, 3, 1, True), {}, "k2"),
+    ((True, 2), {}, "m"),
+    ((2, True), {}, "n"),
+    ((2.0, 3), {}, "m"),
+    ((2, 3), {"conductor": 6.0}, "conductor"),
+    ((2, 3), {"conductor": True}, "conductor"),
+], ids=["k1_bool", "k2_bool", "m_bool", "n_bool", "m_float",
+        "conductor_float", "conductor_bool"])
+def test_derive_params_arguments_must_be_ints(args, kwargs, name, monkeypatch):
+    # refused before any arithmetic and before the cache of _derive
+    monkeypatch.setattr(arith, "_derive", lambda *a: pytest.fail("_derive"))
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        derive_params(*args, **kwargs)
+
+
+def test_refused_bool_leaves_the_cache_clean():
+    # True == 1 in the cache of _derive, so a bool that got through would
+    # hand every later clean call a params object with k1 = True
+    arith._derive.cache_clear()
+    with pytest.raises(TypeError):
+        derive_params(2, 3, True, 1)
+    data = derive_params(2, 3, 1, 1).to_json()
+    assert data == {"m": 2, "n": 3, "k1": 1, "k2": 1}
+    assert all(type(v) is int for v in data.values())
+
+
 def test_admissibility_stops_at_the_first_pair(monkeypatch):
     # (1000, 1000) has 159,600 admissible pairs; each question needs one
     calls = []
@@ -205,6 +234,23 @@ def minor_gcd(mat, k):
             sub = [[mat[i][j] for j in ci] for i in ri]
             g = math.gcd(g, int_det(sub))
     return g
+
+
+@pytest.mark.parametrize("mat,error", [
+    ([[1.5, 2]], TypeError),
+    ([[True, 2]], TypeError),
+    ([[Fraction(1), 2]], TypeError),
+    ([(1, 2)], TypeError),
+    (((1, 2),), TypeError),
+    ([[1], [2, 3]], ValueError),
+    ([[1, 2], [3]], ValueError),
+    ([], ValueError),
+    ([[]], ValueError),
+], ids=["float", "bool", "fraction", "tuple_row", "tuple_matrix",
+        "short_first_row", "short_last_row", "no_row", "empty_row"])
+def test_snf_refuses_inexact_or_malformed_input(mat, error):
+    with pytest.raises(error, match="matrix"):
+        smith_normal_form(mat)
 
 
 def test_snf_random_unimodular_and_divisor_chain():

@@ -173,6 +173,21 @@ def test_nth_root_in_field():
     assert nth_root_in_field(CycNumber.zero(6), 5) == CycNumber.zero(6)
 
 
+@pytest.mark.parametrize("coeffs,n,error", [
+    ([2, 0], 0, ValueError),
+    ([2, 0], -1, ValueError),
+    ([1, 0], -3, ValueError),
+    ([0, 0], 0, ValueError),
+    ([2, 0], True, TypeError),
+    ([2, 0], 2.0, TypeError),
+    ([2, 0], Fraction(2), TypeError),
+], ids=["zero", "minus_one", "minus_three", "zero_of_zero", "bool", "float",
+        "fraction"])
+def test_nth_root_in_field_needs_an_int_n_from_one(coeffs, n, error):
+    with pytest.raises(error, match="^n must be"):
+        nth_root_in_field(CycNumber(6, coeffs), n)
+
+
 # --- roots of unity by exponent, against the field-arithmetic construction --
 
 def _roots_of_unity_by_field(conductor):

@@ -1640,6 +1640,59 @@ class TestHomSpace:
             assert matrix_hom_space(full[0], gens(other) + [theta_matrix(other)]) == []
         assert calls == []
 
+    def test_find_intertwiner_forms_no_theta(self, monkeypatch):
+        # the support comes from z, joined by xy and yx where z repeats a
+        # weight, so no theta matrix is formed, for pairs isomorphic or not
+        monkeypatch.setattr(reps, "_theta",
+                            lambda *args: pytest.fail("theta formed"))
+        w = zeta_power(6, 1)
+        pairs = [(build_v1(P23, w, 2, 3),
+                  build_v1(P23, w, 2 * P23.p ** 2, 3 * P23.q ** -2)),
+                 (build_v1(P23, w, 2, 3), build_v1(P23, w, 5, 3)),
+                 (build_v2(P23, 2, 3), build_v2(P23, 2 * w, 3)),
+                 (build_v2(P23, 2, 3), build_v2(P23, 2, 5)),
+                 (build_v3(P23, 3), build_v3(P23, 3)),
+                 (build_v3(P23, 3), build_v3(P23, 5))]
+        for k, (a, b) in enumerate(pairs):
+            want = reference_hom_space(gens(a), gens(b))
+            assert len(want) == (k + 1) % 2, k
+            got = find_intertwiner(a, b)
+            if want:
+                assert got == want[0] and is_invertible(got), k
+            else:
+                assert got is None, k
+
+    def test_full_support_offers_no_diagonal_equation(self, monkeypatch):
+        # two dense conjugates of one QPlaneZ build: Mz = 0 is diagonal on
+        # both sides and rules out no unknown, so the support is every
+        # unknown and only the 2 d^2 equations of Mx and My reach the pick
+        qz = build_qplane(derive_params(1, 5), Z_TORSION, 2, 3)
+        rng = random.Random(41)
+        a, b = integer_conjugate(qz, rng), integer_conjugate(qz, rng)
+        offered = []
+        real = modular.independent
+
+        def counted(rows, conductor, full=None):
+            rows = list(rows)
+            offered.append(len(rows))
+            return real(rows, conductor, full)
+
+        monkeypatch.setattr(modular, "independent", counted)
+        assert len(matrix_hom_space(gens(a), gens(b))) == 1
+        assert offered == [2 * a.d ** 2]
+
+    def test_theta_changes_no_hom_space(self):
+        # theta lies in the span of xy and yx, so appending both theta
+        # matrices where they are diagonal gives the same basis
+        for a, b, want in hom_space_cases():
+            where = (a.params.m, a.params.n, a.d, b.d)
+            got = matrix_hom_space(gens(a), gens(b))
+            assert got == want, where
+            th_a, th_b = theta_matrix(a), theta_matrix(b)
+            if th_a.is_diagonal() and th_b.is_diagonal():
+                assert matrix_hom_space(gens(a) + [th_a],
+                                        gens(b) + [th_b]) == got, where
+
 
 class TestDenseBasis:
     """Inputs whose exact span does not finish on the exact path alone."""
