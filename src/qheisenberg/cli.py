@@ -36,14 +36,15 @@ import os
 import sys
 from fractions import Fraction
 
-from .arith import (AlgebraParams, InvalidParameters, derive_params, ord_pq,
-                    pi_degree, pi_degree_snf, relation_matrix, scan_orders,
-                    smith_normal_form)
-from .cyclotomic import ConductorMismatch, CycNumber, zeta_power
-from .pbw import PbwElement, center_generators, generators, theta
-from .reps import (KIND_ONE_DIM, KIND_SCALARS, MatrixRep, ModuleDescriptor,
-                   build_from_descriptor, classify, iso_test, span_dim,
-                   verify_relations)
+from .arith import (AlgebraParams, InvalidParameters, derive_params,
+                    ord_formula, ord_pq, pi_degree, pi_degree_snf,
+                    relation_matrix, scan_orders, smith_normal_form)
+from .cyclotomic import ConductorMismatch, CycNumber, euler_phi, zeta_power
+from .pbw import PbwElement, center_generators, theta
+from .reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
+                   KIND_SCALARS, KIND_V1, KIND_V2, KIND_V3, MatrixRep,
+                   ModuleDescriptor, build_from_descriptor, classify,
+                   iso_test, span_dim, verify_relations)
 
 
 class UsageError(Exception):
@@ -60,7 +61,9 @@ class ExprError(UsageError):
 
 # --- expression language -----------------------------------------------------
 
-_ATOM_NAMES = ("x", "y", "z", "theta", "g")
+# the generator atoms as monomials z^i x^j y^k, by their (i, j, k)
+_GENERATOR_EXPONENTS = {"x": (0, 1, 0), "y": (0, 0, 1), "z": (1, 0, 0)}
+_ATOM_NAMES = (*_GENERATOR_EXPONENTS, "theta", "g")
 
 
 def _byte_offset(src: str, index: int) -> int:
@@ -191,12 +194,12 @@ class _Parser:
             except ZeroDivisionError:
                 raise ExprError("division by zero in literal", offset)
         if kind == "name":
-            x, y, z = generators(self.params)
-            return {"x": x, "y": y, "z": z,
-                    "theta": theta(self.params),
-                    "g": PbwElement.scalar(
-                        self.params,
-                        zeta_power(self.params.conductor, 1))}[text]
+            if text == "theta":
+                return theta(self.params)
+            if text == "g":
+                return PbwElement.scalar(
+                    self.params, zeta_power(self.params.conductor, 1))
+            return PbwElement.monomial(self.params, *_GENERATOR_EXPONENTS[text])
         if kind == "(":
             self.nest(offset)
             value = self.expr()
@@ -291,6 +294,9 @@ def _load_rep(path: str) -> MatrixRep:
 
 # --- command handlers --------------------------------------------------------
 
+# Each handler returns (payload, lines): the JSON payload, and a function
+# that formats the text lines of --format table, called for that format only.
+
 def _params_from(args) -> AlgebraParams:
     return derive_params(args.m, args.n, args.k1, args.k2)
 
@@ -302,28 +308,26 @@ def _cmd_pideg(args):
                "pideg_theorem": pi_degree(params.m, params.n),
                "pideg_snf": pi_degree_snf(params),
                "invariant_factors": diag}
-    lines = [f"l: {params.l}",
-             f"pideg_theorem: {payload['pideg_theorem']}",
-             f"pideg_snf: {payload['pideg_snf']}",
-             "invariant_factors: " + " ".join(str(v) for v in diag)]
-    return payload, lines
+    return payload, lambda: [
+        f"l: {params.l}", f"pideg_theorem: {payload['pideg_theorem']}",
+        f"pideg_snf: {payload['pideg_snf']}",
+        "invariant_factors: " + " ".join(str(v) for v in diag)]
 
 
 def _cmd_order(args):
     params = _params_from(args)
     value = ord_pq(params)
-    return {"ord_pq": value}, [f"ord_pq: {value}"]
+    return {"ord_pq": value}, lambda: [f"ord_pq: {value}"]
 
 
 def _cmd_scan(args):
     report = scan_orders(args.m, args.n)
     payload = report.to_json()
-    rows = [[str(e["k1"]), str(e["k2"]), str(e["ord"])]
-            for e in payload["entries"]]
-    lines = [f"m: {report.m}", f"n: {report.n}",
-             f"verdict: {report.verdict}"]
-    lines.extend(_column_lines(["k1", "k2", "ord"], rows))
-    return payload, lines
+    return payload, lambda: [
+        f"m: {report.m}", f"n: {report.n}", f"verdict: {report.verdict}",
+        *_column_lines(["k1", "k2", "ord"],
+                       [[str(e["k1"]), str(e["k2"]), str(e["ord"])]
+                        for e in payload["entries"]])]
 
 
 def _cmd_center(args):
@@ -333,22 +337,44 @@ def _cmd_center(args):
     gens = center_generators(params)
     payload = {"generators": [{"name": name, "element": gen.to_json()}
                               for name, gen in zip(names, gens)]}
-    lines = [f"{name}: {gen}" for name, gen in zip(names, gens)]
-    return payload, lines
+    return payload, lambda: [f"{name}: {gen}" for name, gen in zip(names, gens)]
 
 
 def _cmd_normal_form(args):
     params = _params_from(args)
     elem = parse_expression(args.expr, params)
-    return elem.to_json(), [f"normal_form: {elem}"]
+    return elem.to_json(), lambda: [f"normal_form: {elem}"]
+
+
+# The most matrix coordinates module-build writes, 3 * d^2 * phi(N) for a
+# module of dimension d over Q(zeta_N), every zero spelled out.  On a 2-vCPU
+# x86-64 box QPlaneZ at (m, n) = (4, 102), 1,997,568 coordinates, took 1.0 s,
+# printed 32 MB and peaked at 227 MB; V1 at (101, 1), 3,060,300, took 1.8 s,
+# printed 48 MB and peaked at 325 MB.  Time and memory grow linearly.
+MAX_MODULE_COORDINATES = 2_000_000
+
+
+def _module_coordinates(params: AlgebraParams, kind: str) -> int:
+    # 3 * d^2 * phi(N), with d as the kind's builder sets it
+    d = {KIND_V1: params.l, KIND_V2: params.l,
+         KIND_V3: ord_formula(params.m, params.n, params.k1, params.k2),
+         KIND_QPLANE_Z: params.n, KIND_QPLANE_THETA: params.m,
+         KIND_ONE_DIM: 1}[kind]
+    return 3 * d * d * euler_phi(params.conductor)
 
 
 def _cmd_module_build(args):
     params = _params_from(args)
     raw = {"mu": args.mu, "lam": args.lam, "gamma": args.gamma}
     desc = _descriptor_from_options(args.kind, raw, params)
+    size = _module_coordinates(params, args.kind)
+    if size > MAX_MODULE_COORDINATES:
+        raise InvalidParameters(
+            f"a {args.kind} module at these parameters has {size} matrix "
+            f"coordinates, past MAX_MODULE_COORDINATES = "
+            f"{MAX_MODULE_COORDINATES}")
     rep = build_from_descriptor(params, desc)
-    return rep.to_json(), _rep_table(rep)
+    return rep.to_json(), functools.partial(_rep_table, rep)
 
 
 def _cmd_module_verify(args):
@@ -357,9 +383,8 @@ def _cmd_module_verify(args):
     zero_map = {name: residual.is_zero()
                 for name, residual in check.residuals.items()}
     payload = {"ok": check.ok, "residual_is_zero": zero_map}
-    lines = [f"ok: {_fmt(check.ok)}"]
-    lines.extend(f"{name}_zero: {_fmt(v)}" for name, v in zero_map.items())
-    return payload, lines
+    return payload, lambda: [f"ok: {_fmt(check.ok)}"] + [
+        f"{name}_zero: {_fmt(v)}" for name, v in zero_map.items()]
 
 
 def _cmd_module_simple(args):
@@ -368,21 +393,16 @@ def _cmd_module_simple(args):
         raise ValueError("module file does not satisfy the defining relations")
     span = span_dim(rep)
     payload = {"d": rep.d, "span_dim": span, "simple": span == rep.d * rep.d}
-    lines = [f"d: {rep.d}", f"span_dim: {span}",
-             f"simple: {_fmt(payload['simple'])}"]
-    return payload, lines
+    return payload, lambda: [f"d: {rep.d}", f"span_dim: {span}",
+                             f"simple: {_fmt(payload['simple'])}"]
 
 
 def _cmd_module_classify(args):
     rep = _load_rep(args.infile)
     desc = classify(rep)
-    payload = desc.to_json()
-    lines = [f"kind: {desc.kind}"]
-    for label, value in (("mu", desc.mu), ("lambda", desc.lam),
-                         ("gamma", desc.gamma)):
-        if value is not None:
-            lines.append(f"{label}: {value}")
-    return payload, lines
+    slots = (("mu", desc.mu), ("lambda", desc.lam), ("gamma", desc.gamma))
+    return desc.to_json(), lambda: [f"kind: {desc.kind}"] + [
+        f"{label}: {value}" for label, value in slots if value is not None]
 
 
 def _cmd_iso(args):
@@ -395,7 +415,7 @@ def _cmd_iso(args):
         params, suffix="2")
     ok, k = iso_test(args.kind, desc_a, desc_b, params)
     payload = {"isomorphic": ok, "k": k}
-    return payload, [f"isomorphic: {_fmt(ok)}", f"k: {_fmt(k)}"]
+    return payload, lambda: [f"isomorphic: {_fmt(ok)}", f"k: {_fmt(k)}"]
 
 
 _HANDLERS = {
@@ -497,6 +517,11 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The output is the payload as JSON, or for --format table the handler's
+    lines, which are only formatted then.
+    """
     try:
         args = _shared_parser().parse_args(argv)
         if [] in vars(args).values():  # Python 3.11's argparse: --opt=-- is []
@@ -505,6 +530,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         payload, lines = _HANDLERS[args.command](args)
+        text = (json.dumps(payload, indent=2) if args.format == "json"
+                else "\n".join(lines()))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -513,8 +540,7 @@ def main(argv=None) -> int:
         print(f"error: {_domain_message(exc)}", file=sys.stderr)
         return 1
     try:
-        print(json.dumps(payload, indent=2) if args.format == "json"
-              else "\n".join(lines))
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError as exc:
         # the reader closed stdout: point it at devnull, so that the flush

@@ -596,19 +596,6 @@ def _block_span(rows: list, d: int, conductor: int) -> int | None:
     return sum(c[0].shape[0] ** 2 for c in classes)
 
 
-def joint_weights(mats: list[FieldMatrix]) -> list[tuple]:
-    """The joint weight of each basis vector under the diagonal matrices.
-
-    Entry i is the tuple of the i-th diagonal entries of those of the
-    d x d matrices that are diagonal, in list order; it is () for every i
-    when none is.  Weights are compared by exact equality.
-    """
-    d, conductor = _generator_size(mats)
-    zero = CycNumber.zero(conductor)
-    diagonal = [g._rows for g in mats if g.is_diagonal()]
-    return [tuple(rows[i].get(i, zero) for rows in diagonal) for i in range(d)]
-
-
 def matrix_hom_space(mats_a: list[FieldMatrix],
                      mats_b: list[FieldMatrix]) -> list[FieldMatrix]:
     """Basis of {P : A_g P = P B_g for all g}, exact.

@@ -13,7 +13,8 @@ Products are computed two ways: a fast path built on the closed form of
 y^k x^j (see `_yk_xj`; the default), and a literal rewriting engine
 driven by the three relations (kept for cross-checking).  p and q are
 roots of unity, so the fast path reads every power of p and q from the
-zeta table by its exponent (`AlgebraParams.power`).
+zeta table by its exponent (`AlgebraParams.power`).  A scalar operand is
+central, and the fast path scales the other operand by it.
 """
 
 from __future__ import annotations
@@ -295,8 +296,16 @@ def _yk_xj(params: AlgebraParams, k: int, j: int):
 
 
 def product(a: PbwElement, b: PbwElement) -> PbwElement:
-    """Normal form of a*b via the closed-form reordering identity."""
+    """Normal form of a*b via the closed-form reordering identity.
+
+    Scalars are central, so when either operand is a scalar (or zero) the
+    product is the other operand's coefficients times it, with no
+    reordering and no power of p or q.
+    """
     a._check(b)
+    for scalar, other in ((a, b), (b, a)):
+        if scalar.terms.keys() <= {(0, 0, 0)}:
+            return other.scale(scalar.coefficient(0, 0, 0))
     params = a.params
     zero = CycNumber.zero(params.conductor)
     out: dict[_Triple, CycNumber] = {}

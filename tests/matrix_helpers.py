@@ -1,6 +1,7 @@
 """Matrix helpers that only the tests use."""
 
-from qheisenberg.linalg import FieldMatrix
+from qheisenberg.cyclotomic import CycNumber
+from qheisenberg.linalg import FieldMatrix, _generator_size
 
 
 def is_scalar(mat: FieldMatrix) -> bool:
@@ -28,3 +29,16 @@ def matrix_power(mat: FieldMatrix, e: int) -> FieldMatrix:
         base = base * base if e > 1 else base
         e >>= 1
     return result
+
+
+def joint_weights(mats: list[FieldMatrix]) -> list[tuple]:
+    """The joint weight of each basis vector under the diagonal matrices.
+
+    Entry i is the tuple of the i-th diagonal entries of those of the
+    d x d matrices that are diagonal, in list order; it is () for every i
+    when none is.  Weights are compared by exact equality.
+    """
+    d, conductor = _generator_size(mats)
+    zero = CycNumber.zero(conductor)
+    diagonal = [g._rows for g in mats if g.is_diagonal()]
+    return [tuple(rows[i].get(i, zero) for rows in diagonal) for i in range(d)]

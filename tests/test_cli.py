@@ -19,7 +19,7 @@ from qheisenberg.cli import (MAX_NESTING, ExprError, build_parser, main,
                              parse_expression, parse_scalar)
 from qheisenberg.cyclotomic import CycNumber, zeta_power
 from qheisenberg.pbw import PbwElement, generators, product, theta
-from qheisenberg.reps import KIND_SCALARS
+from qheisenberg.reps import KIND_SCALARS, build_from_descriptor
 
 from golden_cases import GOLDEN_CASES, expected_output, run_case
 
@@ -52,6 +52,23 @@ class TestGoldens:
         assert code == case["exit"]
         assert out == want_out
         assert err == want_err
+
+    def test_json_formats_no_text_lines(self, monkeypatch, tmp_path):
+        # JSON output never formats an element, a column table or a
+        # module table, which only --format table prints
+        def table_only(*args):
+            pytest.fail("text lines formatted for JSON output")
+
+        monkeypatch.setattr(PbwElement, "__str__", table_only)
+        monkeypatch.setattr(cli, "_column_lines", table_only)
+        monkeypatch.setattr(cli, "_rep_table", table_only)
+        cases = [c for c in GOLDEN_CASES if c["exit"] == 0
+                 and "table" not in c["argv"] and c["argv"][0] in
+                 ("normal-form", "center", "scan", "module-build")]
+        assert len(cases) == 6
+        for case in cases:
+            code, out, err = run_case(case, str(tmp_path))
+            assert (code, out, err) == (0, *expected_output(case)), case["name"]
 
     def test_case_names_unique(self):
         names = [c["name"] for c in GOLDEN_CASES]
@@ -107,6 +124,15 @@ class TestExpressions:
         assert parse_expression("g^6", P23) == PbwElement.one(P23)
         assert parse_expression("g^7", P23) == \
             PbwElement.scalar(P23, zeta_power(6, 1))
+
+    def test_atom_builds_only_itself(self, monkeypatch):
+        def no_theta(params):
+            pytest.fail("theta built for another atom")
+
+        monkeypatch.setattr(cli, "theta", no_theta)
+        x, y, _ = generators(P23)
+        assert parse_expression("g^7*x*y", P23) == \
+            product(x, y).scale(zeta_power(6, 7))
 
     def test_rational_literal(self):
         elem = parse_expression("3/2 - 1/2", P23)
@@ -293,6 +319,44 @@ class TestExitCodes:
         assert code == 1
         assert err == ("error: m * n = 2000006 exceeds the scan limit "
                        "MAX_SCAN_PAIRS = 100000\n")
+
+    def test_module_beyond_size_limit_is_domain_error(self):
+        # refused before any matrix is built: unbounded, on a 2-vCPU box
+        # this build took 23 s, printed 723 MB and peaked at 4.6 GB
+        code, err = _run_main_with_watchdog(
+            ["module-build", "--m", "251", "--n", "1", "--kind", "V1",
+             "--mu", "2", "--lam", "3", "--gamma", "5"])
+        assert code == 1
+        assert err == ("error: a V1 module at these parameters has 47250750 "
+                       "matrix coordinates, past MAX_MODULE_COORDINATES = "
+                       "2000000\n")
+
+    def test_module_just_under_size_limit_builds(self):
+        # d = 102 over Q(zeta_204), phi = 64: 3 * 102^2 * 64 = 1,997,568
+        argv = ["module-build", "--m", "4", "--n", "102", "--kind", "QPlaneZ",
+                "--mu", "2", "--gamma", "5"]
+        params = derive_params(4, 102)
+        size = cli._module_coordinates(params, "QPlaneZ")
+        assert size == 1997568 <= cli.MAX_MODULE_COORDINATES
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0
+        data = json.loads(out.getvalue())
+        assert data["d"] == 102 and len(data["Mx"]) == 102
+
+    @pytest.mark.parametrize("kind", sorted(KIND_SCALARS))
+    @pytest.mark.parametrize("m,n", [(2, 3), (4, 4), (2, 6), (1, 5)])
+    def test_module_size_counts_the_built_matrices(self, kind, m, n):
+        # the count the gate reads equals the coordinates the build writes
+        params = derive_params(m, n)
+        cycle, _, weights = KIND_SCALARS[kind]
+        raw = {slot: "2" if slot == cycle or slot in weights else None
+               for slot in ("mu", "lam", "gamma")}
+        data = build_from_descriptor(
+            params, cli._descriptor_from_options(kind, raw, params)).to_json()
+        coordinates = sum(len(entry["coeffs"]) for name in ("Mx", "My", "Mz")
+                          for row in data[name] for entry in row)
+        assert cli._module_coordinates(params, kind) == coordinates
 
     def test_malformed_module_file_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -184,7 +184,8 @@ def test_power_caps():
     y_side = PbwElement(PS23, {(0, j, 5): one for j in range(5, 115)})
     with pytest.raises(OverflowError, match="POWER_PAIR_CAP"):
         y_side ** 2
-    # 3^(2^20) has about 1.66 million bits
+    # 3^(2^20) has about 1.66 million bits; the cap is read before the
+    # product, so a scalar base is refused although it needs no reordering
     assert POWER_BITS_CAP < (1 << 20)
     with pytest.raises(OverflowError, match="POWER_BITS_CAP"):
         PbwElement.scalar(PS23, 3) ** (1 << 20)
@@ -420,6 +421,37 @@ def test_property_product_matches_rewriting_and_associates(m, n, scale, data):
     a, b, c = (data.draw(_element(ps)) for _ in range(3))
     assert product(a, b) == product_via_rewriting(a, b)
     assert product(product(a, b), c) == product(a, product(b, c))
+
+
+def _mixed_rational(rng):
+    # a nonzero rational whose denominator is drawn from coprime and shared ones
+    return Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 4, 9, 35]))
+
+
+@pytest.mark.parametrize("scale", (1, 2))
+@pytest.mark.parametrize("m,n", ORDER_PAIRS_L8)
+def test_property_scalar_operand_scales(m, n, scale):
+    # a scalar on either side, zero included, against the rewriting oracle
+    # and against scaling each coefficient
+    rng = random.Random(m * 100 + n * 10 + scale)
+    k1, k2 = rng.choice(valid_pairs(m, n))
+    ps = derive_params(m, n, k1, k2, conductor=scale * math.lcm(m, n))
+    g = zeta_power(ps.conductor, 1)
+    for _ in range(4):
+        elem = PbwElement(ps, {(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)):
+                               _mixed_rational(rng) * g ** rng.randrange(ps.conductor)
+                               for _ in range(rng.randint(1, 4))})
+        for c in (CycNumber.zero(ps.conductor),
+                  CycNumber.from_rational(ps.conductor, _mixed_rational(rng)),
+                  _mixed_rational(rng) + _mixed_rational(rng) * g ** rng.randrange(ps.conductor)):
+            s = PbwElement.scalar(ps, c)
+            scaled = PbwElement(ps, {key: v * c for key, v in elem.terms.items()})
+            for a, b in ((s, elem), (elem, s)):
+                assert product(a, b) == scaled
+                assert product(a, b) == product_via_rewriting(a, b)
+        zero = PbwElement.zero(ps)
+        assert product(zero, elem).is_zero() and product(elem, zero).is_zero()
+        assert product(zero, zero).is_zero()
 
 
 @settings(max_examples=150, deadline=None)

@@ -21,8 +21,8 @@ from qheisenberg.cyclotomic import (CycNumber, cyclotomic_polynomial,
                                     zeta_power)
 from qheisenberg.pbw import pq_number
 from qheisenberg.linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
-                                is_invertible, joint_weights, left_kernel,
-                                matrix_hom_space, row_reduce, spin)
+                                is_invertible, left_kernel, matrix_hom_space,
+                                row_reduce, spin)
 from qheisenberg.reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
                               KIND_V1, KIND_V2, KIND_V3, THETA_TORSION,
                               Z_TORSION, MatrixRep, ModuleDescriptor,
@@ -35,7 +35,7 @@ from qheisenberg.reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
 from qheisenberg.linalg import _spin_mod_p
 from qheisenberg.reps import _spin_finds_submodule
 
-from matrix_helpers import is_scalar, matrix_power
+from matrix_helpers import is_scalar, joint_weights, matrix_power
 
 P23 = derive_params(2, 3, 1, 1)
 P44 = derive_params(4, 4, 1, 1)
