@@ -117,12 +117,16 @@ def _admissible(m: int, n: int, k1: int | None = None, k2: int | None = None):
 
 def _require_admissible(m: int, n: int) -> None:
     # stops at the first admissible pair rather than listing them all
+    _check_int(m, "m")
+    _check_int(n, "n")
     if m < 1 or n < 1 or next(_admissible(m, n), None) is None:
         raise InvalidParameters(f"no admissible parameters for (m, n) = ({m}, {n})")
 
 
 def valid_pairs(m: int, n: int) -> list[tuple[int, int]]:
     """All admissible (k1, k2) for the order pair (m, n), sorted."""
+    _check_int(m, "m")
+    _check_int(n, "n")
     if m < 1 or n < 1:
         return []
     return list(_admissible(m, n))
@@ -368,6 +372,8 @@ def scan_orders(m: int, n: int) -> OrderReport:
     equals l = lcm(m, n), ALWAYS_NONMAX if none does, MIXED otherwise.
     Raises InvalidParameters when m * n exceeds MAX_SCAN_PAIRS.
     """
+    _check_int(m, "m")
+    _check_int(n, "n")
     if min(m, n) >= 1 and m * n > MAX_SCAN_PAIRS:
         raise InvalidParameters(f"m * n = {m * n} exceeds the scan limit "
                                 f"MAX_SCAN_PAIRS = {MAX_SCAN_PAIRS}")

@@ -36,15 +36,14 @@ import os
 import sys
 from fractions import Fraction
 
-from .arith import (AlgebraParams, InvalidParameters, derive_params,
-                    ord_formula, ord_pq, pi_degree, pi_degree_snf,
-                    relation_matrix, scan_orders, smith_normal_form)
+from .arith import (AlgebraParams, InvalidParameters, derive_params, ord_pq,
+                    pi_degree, pi_degree_snf, relation_matrix, scan_orders,
+                    smith_normal_form)
 from .cyclotomic import ConductorMismatch, CycNumber, euler_phi, zeta_power
 from .pbw import PbwElement, center_generators, theta
-from .reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
-                   KIND_SCALARS, KIND_V1, KIND_V2, KIND_V3, MatrixRep,
-                   ModuleDescriptor, build_from_descriptor, classify,
-                   iso_test, span_dim, verify_relations)
+from .reps import (KIND_ONE_DIM, KIND_SCALARS, MatrixRep, ModuleDescriptor,
+                   build_from_descriptor, classify, iso_test, module_dimension,
+                   span_dim, verify_relations)
 
 
 class UsageError(Exception):
@@ -79,13 +78,13 @@ def _lex(src: str) -> list[tuple[str, str, int]]:
             i += 1
             continue
         start = _byte_offset(src, i)
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j].isdecimal():
                 j += 1
             if j < len(src) and src[j] == "/":
                 k = j + 1
-                while k < len(src) and src[k].isdigit():
+                while k < len(src) and src[k].isdecimal():
                     k += 1
                 if k == j + 1:
                     raise ExprError("malformed rational literal", start)
@@ -160,15 +159,11 @@ class _Parser:
 
     def term(self) -> PbwElement:
         value = self.factor()
-        while True:
-            kind = self.peek()[0]
+        while (kind := self.peek()[0]) in ("*", "name", "num", "("):
             if kind == "*":
                 self.advance()
-                value = value * self.factor()
-            elif kind in ("name", "num", "("):
-                value = value * self.factor()
-            else:
-                return value
+            value = value * self.factor()
+        return value
 
     def factor(self) -> PbwElement:
         if self.peek()[0] == "-":
@@ -354,20 +349,12 @@ def _cmd_normal_form(args):
 MAX_MODULE_COORDINATES = 2_000_000
 
 
-def _module_coordinates(params: AlgebraParams, kind: str) -> int:
-    # 3 * d^2 * phi(N), with d as the kind's builder sets it
-    d = {KIND_V1: params.l, KIND_V2: params.l,
-         KIND_V3: ord_formula(params.m, params.n, params.k1, params.k2),
-         KIND_QPLANE_Z: params.n, KIND_QPLANE_THETA: params.m,
-         KIND_ONE_DIM: 1}[kind]
-    return 3 * d * d * euler_phi(params.conductor)
-
-
 def _cmd_module_build(args):
     params = _params_from(args)
     raw = {"mu": args.mu, "lam": args.lam, "gamma": args.gamma}
     desc = _descriptor_from_options(args.kind, raw, params)
-    size = _module_coordinates(params, args.kind)
+    size = 3 * module_dimension(params, args.kind) ** 2 * euler_phi(
+        params.conductor)
     if size > MAX_MODULE_COORDINATES:
         raise InvalidParameters(
             f"a {args.kind} module at these parameters has {size} matrix "

@@ -27,6 +27,7 @@ import math
 import numbers
 from fractions import Fraction
 from math import gcd
+from operator import neg
 
 
 class ConductorMismatch(ValueError):
@@ -315,20 +316,13 @@ class CycNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw(self.conductor, tuple(-x for x in self.num), self.den)
+        return _raw(self.conductor, tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.num, o.num
-        if not any(b):
-            return self
-        da, db = self.den, o.den
-        if da == db:
-            return _normalised(self.conductor, [x - y for x, y in zip(a, b)], da)
-        return _normalised(self.conductor,
-                           [x * db - y * da for x, y in zip(a, b)], da * db)
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)

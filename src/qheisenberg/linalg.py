@@ -14,6 +14,8 @@ serves every exact rank, kernel and span: `left_kernel` (so
 multiplies vectors by generators; the library never calls `row_reduce`.
 `spin` takes its echelon as an argument, so the same walk runs over F_P
 on `modular.reduced`'s echelon; a matrix algebra spins from the identity.
+One ladder of such spins, `_certify_simple`, proves a module or a block
+of a direct sum simple; `algebra_span_dim` is the exact span.
 """
 
 from __future__ import annotations
@@ -541,19 +543,53 @@ def _diagonal_words(pairs) -> list[FieldMatrix] | None:
     return [a * b for a, b in pairs]
 
 
+def _certify_simple(gens: list[FieldMatrix],
+                    extra: list[FieldMatrix]) -> bool | None:
+    """Do the d x d gens span all d^2 matrices?  Each rung is a `spin`.
+
+    True proves it, None means the exact spin of some e_i is a proper
+    submodule, and False proves nothing.  extra (theta for a module) are
+    further elements of the algebra whose diagonals join the weights.
+
+    1. `_norton` on the `_refined_weights` of gens + extra: True proves
+       the span, and a result other than None marks a weight basis.
+    2. In a weight basis, the exact spin of each e_i.
+    3. The spin of the identity mod P, full only if the exact one is.
+    4. In any other basis, the exact spin of each e_i.
+    """
+    d, conductor = gens[0].shape[0], gens[0].conductor
+    weights, = _refined_weights([gens + extra])
+    certified = _norton(gens, weights)
+    if certified:
+        return True
+    rows = [g._rows for g in gens]
+    one = CycNumber.one(conductor)
+
+    def submodule() -> bool:
+        # the exact spin of e_i is invariant: one short of d is a submodule
+        return any(spin(rows, {i: one}, d, SparseEchelon(conductor)) < d
+                   for i in range(d))
+
+    weighted = certified is not None
+    if weighted and submodule():
+        return None
+    if _spin_mod_p(gens, {i * d + i: 1 for i in range(d)}, d * d) == d * d:
+        return True
+    if not weighted and submodule():
+        return None
+    return False
+
+
 def algebra_span_dim(mats: list[FieldMatrix]) -> int:
     """Dimension of the unital algebra generated by the given matrices.
 
     The matrices are block diagonal on the connected components of the
     graph with an edge i - j per nonzero (i, j) entry.  With several, a
     block joins the class of an earlier one of its size with a nonzero
-    `matrix_hom_space` to it, or else must span all b x b matrices.  That
-    is proven by `_norton` on the block's `_refined_weights`, or else by
-    the spin of the b x b identity mod P, which is full exactly when it
-    is full mod P.  The value is then the sum of b^2 over the classes
-    (Schur, Wedderburn).  Otherwise, or if a block's span is short mod P
-    or has no reduction, it is the exact `spin` of the identity as d^2
-    entries.
+    `matrix_hom_space` to it, or else `_certify_simple` must prove that
+    it spans all b x b matrices.  The value is then the sum of b^2 over
+    the classes (Schur, Wedderburn).  Otherwise, or if some block is not
+    proven, it is the exact `spin` of the identity as d^2 entries.
     """
     d, conductor = _generator_size(mats)
     rows = [g._rows for g in mats]
@@ -588,9 +624,7 @@ def _block_span(rows: list, d: int, conductor: int) -> int | None:
                                 for i in idx], conductor) for g in rows]
         if any(matrix_hom_space(c, block) for c in classes if c[0].shape == (b, b)):
             continue
-        weights, = _refined_weights([block])
-        if not (_norton(block, weights) or _spin_mod_p(
-                block, {k * b + k: 1 for k in range(b)}, b * b) == b * b):
+        if _certify_simple(block, []) is not True:
             return None
         classes.append(block)
     return sum(c[0].shape[0] ** 2 for c in classes)

@@ -49,11 +49,7 @@ def pq_number(params: AlgebraParams, k: int) -> CycNumber:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    k %= params.l
-    acc = CycNumber.zero(params.conductor)
-    for i in range(k):
-        acc = acc + params.power(-(k - 1 - i), i)
-    return acc
+    return _pq_numbers(params, k % params.l + 1)[-1]
 
 
 def _pq_numbers(params: AlgebraParams, count: int) -> list[CycNumber]:
@@ -265,7 +261,7 @@ def generators(params: AlgebraParams) -> tuple[PbwElement, PbwElement, PbwElemen
 def _yk_xj(params: AlgebraParams, k: int, j: int):
     """Normal form of y^k x^j as a tuple of ((i, j, k), coeff) items.
 
-    Closed form, with u = (pq)^-1 and [i] = pq_number(params, i):
+    Closed form, with u = (pq)^-1 and [i] from one `_pq_numbers` list:
 
         y^k x^j = sum over t of  q^(j(k-t)) p^(t(j-t)) B(k, t) [j][j-1]...[j-t+1]
                                  z^t x^(j-t) y^(k-t),
@@ -286,9 +282,10 @@ def _yk_xj(params: AlgebraParams, k: int, j: int):
             binom[t] = binom[t - 1] + params.power(-t, -t) * binom[t]
     out = []
     falling = CycNumber.one(cond)
+    numbers = _pq_numbers(params, min(j + 1, params.l)) if top else ()
     for t in range(top + 1):
         if t:
-            falling = falling * pq_number(params, j - t + 1)
+            falling = falling * numbers[(j - t + 1) % params.l]
         cf = params.power(t * (j - t), j * (k - t)) * binom[t] * falling
         if not cf.is_zero():
             out.append(((t, j - t, k - t), cf))

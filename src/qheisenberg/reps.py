@@ -26,9 +26,8 @@ from operator import mul
 from .arith import AlgebraParams, ord_formula
 from .cyclotomic import (CycNumber, _check_json_int, nth_root_in_field,
                          roots_of_unity)
-from .linalg import (FieldMatrix, SparseEchelon, _make, _norton,
-                     _refined_weights, _spin_mod_p, algebra_span_dim,
-                     is_invertible, left_kernel, matrix_hom_space, spin)
+from .linalg import (FieldMatrix, _certify_simple, _make, algebra_span_dim,
+                     is_invertible, left_kernel, matrix_hom_space)
 from .pbw import _coerce_scalar, _pq_numbers
 
 Z_TORSION = "Z_TORSION"
@@ -161,13 +160,14 @@ def build_v1(params: AlgebraParams, mu, lam, gamma) -> MatrixRep:
     pq = params.power(1, 1)
     # pq - 1 is not a root of unity, so this inverse is field arithmetic
     scale = mu.inverse() * (pq - CycNumber.one(cond)).inverse()
-    pq_gamma = pq * gamma
+    # -lam once: each difference would cost a negation and a sum
+    pq_gamma, minus_lam = pq * gamma, -lam
     mz = FieldMatrix.diagonal([params.power(k, 0) * lam for k in range(l)], cond)
     mx = FieldMatrix.from_entries(l, l, {(k, (k + 1) % l): mu
                                          for k in range(l)}, cond)
     my = FieldMatrix.from_entries(l, l, {
         (k, (k - 1) % l): (scale * params.power(0, -k)
-                           * (pq_gamma - params.power(k, k) * lam))
+                           * (pq_gamma + params.power(k, k) * minus_lam))
         for k in range(l)}, cond)
     return MatrixRep(params, l, mx, my, mz)
 
@@ -264,6 +264,21 @@ def build_from_descriptor(params: AlgebraParams,
     if desc.kind == KIND_ONE_DIM:
         return build_one_dim(params, desc.mu, desc.lam, desc.gamma)
     raise ValueError(f"unknown descriptor kind {desc.kind!r}")
+
+
+def module_dimension(params: AlgebraParams, kind: str) -> int:
+    """The dimension of the kind's modules, as its builder sets it.
+
+    l for V1 and V2, ord(pq) for V3, n for QPlaneZ, m for QPlaneTheta
+    and 1 for OneDim; `classify` expects the same of a simple module.
+    """
+    if kind == KIND_V3:
+        return ord_formula(params.m, params.n, params.k1, params.k2)
+    dims = {KIND_V1: params.l, KIND_V2: params.l, KIND_QPLANE_Z: params.n,
+            KIND_QPLANE_THETA: params.m, KIND_ONE_DIM: 1}
+    if kind not in dims:
+        raise ValueError(f"unknown descriptor kind {kind!r}")
+    return dims[kind]
 
 
 def direct_sum(a: MatrixRep, b: MatrixRep) -> MatrixRep:
@@ -381,24 +396,15 @@ def is_simple(rep: MatrixRep) -> bool:
 def span_dim(rep: MatrixRep) -> int:
     """Dimension of the unital algebra spanned by Mx, My and Mz.
 
-    The span is d^2 exactly when the module is simple (Burnside).  Each
-    rung of this ladder is a `linalg.spin`, mod P or exact:
-
-    * `weight_certificate`: Norton's test on a standard basis vector with
-      a weight of its own (`linalg._refined_weights`): the span is d^2.
-    * The spin of the identity mod a prime P, the span mod P: a rank can
-      only fall under reduction, so d^2 mod P proves d^2 exactly.
-    * The exact spin of each standard basis vector: a short one is a
-      submodule, so the module is not simple.  In a weight basis (the
-      weight certificate did not return None) it runs before the span
-      mod P, since a reducible weight module usually shows one at once.
-
-    Otherwise `algebra_span_dim` is the value; it splits block-diagonal
-    generators into blocks, certifies each by Norton's test or else its
-    span mod P, and only then falls back to its exact span.  No answer
-    is read from a short spin mod P; the relations are not checked.  The
+    The span is d^2 exactly when the module is simple (Burnside).
+    `linalg._certify_simple` first tries its ladder of spins, with theta
+    among the weights when one of Mx, My, Mz is diagonal (so a dense
+    basis pays no product): a proof gives d^2.  Otherwise
+    `algebra_span_dim` is the value; it splits block-diagonal generators
+    into blocks and puts each through the same ladder before it falls
+    back to its exact span.  The relations are not checked, and the
     PI-degree rung of `is_simple` gives no value, so it is not a rung
-    here.  The outcome of this ladder is computed once per module object
+    here.  The outcome of the ladder is computed once per module object
     and shared with `is_simple`; when a spin has found a submodule, the
     exact span that follows is computed on the first call and kept in its
     place, a value below d^2, which `is_simple` reads the same way.
@@ -414,47 +420,14 @@ def _certified_span(rep: MatrixRep) -> int | None:
     # span_dim puts the span in its place), else the span; kept on the
     # module object, which never changes
     if "_span" not in rep.__dict__:
-        rep.__dict__["_span"] = _certify_span(rep)
+        gens = [rep.Mx, rep.My, rep.Mz]
+        extra = ([theta_matrix(rep)] if any(g.is_diagonal() for g in gens)
+                 else [])
+        certified = _certify_simple(gens, extra)
+        rep.__dict__["_span"] = (rep.d * rep.d if certified
+                                 else None if certified is None
+                                 else algebra_span_dim(gens))
     return rep.__dict__["_span"]
-
-
-def _certify_span(rep: MatrixRep) -> int | None:
-    d = rep.d
-    gens = [rep.Mx, rep.My, rep.Mz]
-    certified = weight_certificate(rep)
-    if certified:
-        return d * d
-    weighted = certified is not None
-    if weighted and _spin_finds_submodule(gens, d):
-        return None
-    if _spin_mod_p(gens, {i * d + i: 1 for i in range(d)}, d * d) == d * d:
-        return d * d
-    if not weighted and _spin_finds_submodule(gens, d):
-        return None
-    return algebra_span_dim(gens)
-
-
-def weight_certificate(rep: MatrixRep) -> bool | None:
-    """Norton's test (`linalg._norton`) on the `linalg._refined_weights`
-    of Mx, My, Mz and the theta matrix: True proves span d^2, False
-    proves nothing, and None means the weights tell no two basis vectors
-    apart.  Theta is formed, and kept on the module object, only when one
-    of Mx, My, Mz is diagonal, so a dense basis pays no product.
-    """
-    gens = [rep.Mx, rep.My, rep.Mz]
-    if not any(g.is_diagonal() for g in gens):
-        return None
-    weights, = _refined_weights([gens + [theta_matrix(rep)]])
-    return _norton(gens, weights)
-
-
-def _spin_finds_submodule(gens: list[FieldMatrix], d: int) -> bool:
-    # The exact spin of e_i is invariant, so a dimension below d shows a
-    # proper submodule
-    one = CycNumber.one(gens[0].conductor)
-    rows = [g._rows for g in gens]
-    return any(spin(rows, {i: one}, d, SparseEchelon(one.conductor)) < d
-               for i in range(d))
 
 
 def _weight(held: list[FieldMatrix], op: FieldMatrix, exponent: int,
@@ -560,16 +533,12 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
         raise ValueError(f"classify dimension {d}: z and theta both vanish "
                          "on a module of dimension > 1")
     if z_zero:
-        if d != params.n:
-            raise ValueError(f"z-torsion module of dimension {d}, "
-                             f"expected {params.n}")
+        _expect_dimension(rep, KIND_QPLANE_Z, "z-torsion")
         b = _scalar_root(rep.My, params.n, KIND_QPLANE_Z, "My")
         a, v0 = _weight([], rep.Mx, params.n, KIND_QPLANE_Z, "Mx")
         return _self_check(rep, ModuleDescriptor(KIND_QPLANE_Z, mu=b, gamma=a), v0)
     if th_zero:
-        if d != params.m:
-            raise ValueError(f"theta-torsion module of dimension {d}, "
-                             f"expected {params.m}")
+        _expect_dimension(rep, KIND_QPLANE_THETA, "theta-torsion")
         a = _scalar_root(rep.Mx, params.m, KIND_QPLANE_THETA, "Mx")
         b, v0 = _weight([], rep.My, params.m, KIND_QPLANE_THETA, "My")
         return _self_check(rep, ModuleDescriptor(KIND_QPLANE_THETA, mu=a, lam=b), v0)
@@ -580,9 +549,7 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
                          "acts neither by zero nor invertibly")
     l = params.l
     if is_invertible(rep.Mx):
-        if d != l:
-            raise ValueError(f"x-invertible module of dimension {d}, "
-                             f"expected {l}")
+        _expect_dimension(rep, KIND_V1, "x-invertible")
         mu = _scalar_root(rep.Mx, l, KIND_V1, "Mx")
         lam, _ = _weight([], rep.Mz, params.m, KIND_V1, "Mz")
         weight_space = rep.Mz - FieldMatrix.identity(d, params.conductor).scale(lam)
@@ -591,22 +558,24 @@ def classify(rep: MatrixRep) -> ModuleDescriptor:
         return _self_check(rep, ModuleDescriptor(KIND_V1, mu=mu, lam=lam,
                                                  gamma=gamma), v0)
     if is_invertible(rep.My):
-        if d != l:
-            raise ValueError(f"y-invertible module of dimension {d}, "
-                             f"expected {l}")
+        _expect_dimension(rep, KIND_V2, "y-invertible")
         if _central_scalar(rep.Mx, l) != 0:
             raise ValueError("classify V2: Mx is singular but not nilpotent")
         mu = _scalar_root(rep.My, l, KIND_V2, "My")
         lam, v0 = _weight([rep.Mx], rep.Mz, params.m, KIND_V2,
                           "Mz on the kernel of Mx")
         return _self_check(rep, ModuleDescriptor(KIND_V2, mu=mu, lam=lam), v0)
-    o = ord_formula(params.m, params.n, params.k1, params.k2)
-    if d != o:
-        raise ValueError(f"x,y-nilpotent module of dimension {d}, "
-                         f"expected {o}")
+    _expect_dimension(rep, KIND_V3, "x,y-nilpotent")
     lam, v0 = _weight([rep.Mx], rep.Mz, params.m, KIND_V3,
                       "Mz on the kernel of Mx")
     return _self_check(rep, ModuleDescriptor(KIND_V3, lam=lam), v0)
+
+
+def _expect_dimension(rep: MatrixRep, kind: str, label: str) -> None:
+    expected = module_dimension(rep.params, kind)
+    if rep.d != expected:
+        raise ValueError(f"{label} module of dimension {rep.d}, "
+                         f"expected {expected}")
 
 
 def _self_check(rep: MatrixRep, desc: ModuleDescriptor,

@@ -138,6 +138,19 @@ def test_derive_params_arguments_must_be_ints(args, kwargs, name, monkeypatch):
         derive_params(*args, **kwargs)
 
 
+@pytest.mark.parametrize("fn", [arith.scan_orders, arith.valid_pairs,
+                                arith.classify_pair, arith.pi_degree],
+                         ids=["scan_orders", "valid_pairs", "classify_pair",
+                              "pi_degree"])
+@pytest.mark.parametrize("args,name", [
+    ((True, 3), "m"), ((2, True), "n"), ((2.0, 3), "m"), ((2, 2.5), "n")],
+    ids=["m_bool", "n_bool", "m_float", "n_float"])
+def test_order_pair_arguments_must_be_ints(fn, args, name):
+    # a bool would answer as 1 and a float end in an internal TypeError
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        fn(*args)
+
+
 def test_refused_bool_leaves_the_cache_clean():
     # True == 1 in the cache of _derive, so a bool that got through would
     # hand every later clean call a params object with k1 = True

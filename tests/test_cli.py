@@ -17,9 +17,10 @@ from qheisenberg import cli
 from qheisenberg.arith import derive_params
 from qheisenberg.cli import (MAX_NESTING, ExprError, build_parser, main,
                              parse_expression, parse_scalar)
-from qheisenberg.cyclotomic import CycNumber, zeta_power
+from qheisenberg.cyclotomic import CycNumber, euler_phi, zeta_power
 from qheisenberg.pbw import PbwElement, generators, product, theta
-from qheisenberg.reps import KIND_SCALARS, build_from_descriptor
+from qheisenberg.reps import (KIND_SCALARS, build_from_descriptor,
+                              module_dimension)
 
 from golden_cases import GOLDEN_CASES, expected_output, run_case
 
@@ -27,20 +28,20 @@ P23 = derive_params(2, 3, 1, 1)
 
 
 def no_span_mod_p(monkeypatch):
-    """Fail if the ladder spins the identity mod P; spins of e_i still run.
+    """Fail if a ladder spins an identity mod P; spins of e_i still run.
 
-    The ladder reads `_spin_mod_p` by the name reps imports from linalg, so
-    the mod-P spins of the blocks inside `algebra_span_dim` still run.
+    The module and each block of `algebra_span_dim` climb one ladder,
+    `linalg._certify_simple`, so neither may reach its span mod P.
     """
-    from qheisenberg import reps
-    spin_mod_p = reps._spin_mod_p
+    from qheisenberg import linalg
+    spin_mod_p = linalg._spin_mod_p
 
     def vectors_only(gens, seed, full):
         if full != gens[0].shape[0]:
             pytest.fail("span mod P computed")
         return spin_mod_p(gens, seed, full)
 
-    monkeypatch.setattr(reps, "_spin_mod_p", vectors_only)
+    monkeypatch.setattr(linalg, "_spin_mod_p", vectors_only)
 
 
 class TestGoldens:
@@ -249,6 +250,25 @@ class TestExitCodes:
         assert captured.err == (f"error: syntax error at byte {offset}: "
                                 f"nesting deeper than {MAX_NESTING}\n")
 
+    @pytest.mark.parametrize("expr, offset", [
+        ("x\u00b2", 1), ("2\u00b2", 1), ("x^\u00b2", 2)],
+        ids=["atom_squared", "literal_squared", "superscript_exponent"])
+    def test_superscript_digit_is_syntax_error(self, capsys, expr, offset):
+        # str.isdigit() holds for superscript digits, which int() and
+        # Fraction refuse; the lexer reads only decimal digits
+        assert main(["normal-form", "--m", "2", "--n", "3", "--", expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: syntax error at byte {offset}: "
+                                "unexpected character '\u00b2'\n")
+
+    @pytest.mark.parametrize("expr, ascii_expr", [
+        ("\uff13x", "3x"), ("\u0663", "3"), ("x^\uff13", "x^3")],
+        ids=["fullwidth", "arabic_indic", "fullwidth_exponent"])
+    def test_decimal_digits_of_other_scripts_parse(self, expr, ascii_expr):
+        assert (parse_expression(expr, P23)
+                == parse_expression(ascii_expr, P23))
+
     def test_leading_minus_expression_after_double_dash(self, capsys):
         # without -- argparse reads "-x" as an option and asks for expr
         x, _, _ = generators(P23)
@@ -336,7 +356,8 @@ class TestExitCodes:
         argv = ["module-build", "--m", "4", "--n", "102", "--kind", "QPlaneZ",
                 "--mu", "2", "--gamma", "5"]
         params = derive_params(4, 102)
-        size = cli._module_coordinates(params, "QPlaneZ")
+        size = 3 * module_dimension(params, "QPlaneZ") ** 2 * euler_phi(
+            params.conductor)
         assert size == 1997568 <= cli.MAX_MODULE_COORDINATES
         out = io.StringIO()
         with redirect_stdout(out):
@@ -356,7 +377,8 @@ class TestExitCodes:
             params, cli._descriptor_from_options(kind, raw, params)).to_json()
         coordinates = sum(len(entry["coeffs"]) for name in ("Mx", "My", "Mz")
                           for row in data[name] for entry in row)
-        assert cli._module_coordinates(params, kind) == coordinates
+        assert 3 * module_dimension(params, kind) ** 2 * euler_phi(
+            params.conductor) == coordinates
 
     def test_malformed_module_file_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

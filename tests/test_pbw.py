@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qheisenberg import pbw
 from qheisenberg.arith import derive_params, ord_formula, valid_pairs
 from qheisenberg.cyclotomic import CycNumber, zeta_power
 from qheisenberg.pbw import (
@@ -119,8 +120,9 @@ def test_pq_number():
 
 
 def test_running_pq_numbers_match_pq_number():
-    # the builders' list [0], ..., [l], one from the last, at every
-    # parameter set with l <= 24
+    # the builders' list [0], ..., [l], one from the last, and pq_number,
+    # both against the defining sum of q^i p^-(k-1-i) over 0 <= i < k, at
+    # every parameter set with l <= 24
     seen = 0
     for m in range(1, 25):
         for n in range(1, 25):
@@ -129,11 +131,37 @@ def test_running_pq_numbers_match_pq_number():
             for k1, k2 in valid_pairs(m, n):
                 ps = derive_params(m, n, k1, k2)
                 assert ps.l <= 24
+                sums = [sum((ps.power(-(k - 1 - i), i) for i in range(k)),
+                            CycNumber.zero(ps.conductor))
+                        for k in range(ps.l + 1)]
                 numbers = _pq_numbers(ps, ps.l + 1)
                 assert len(numbers) == ps.l + 1
-                assert numbers == [pq_number(ps, k) for k in range(ps.l + 1)]
+                assert numbers == sums
+                assert [pq_number(ps, k) for k in range(ps.l + 1)] == sums
                 seen += 1
     assert seen > 1000
+
+
+def test_reordering_reads_one_list_of_pq_numbers(monkeypatch):
+    # y^k x^j needs [j], [j-1], ... only when a term z^t with t >= 1 occurs
+    calls = []
+    numbers = pbw._pq_numbers
+    monkeypatch.setattr(pbw, "_pq_numbers",
+                        lambda params, count: calls.append(count)
+                        or numbers(params, count))
+    ps = derive_params(4, 6, 1, 1)
+    pbw._yk_xj.cache_clear()
+    try:
+        one = CycNumber.one(ps.conductor)
+        assert pbw._yk_xj(ps, 0, 5) == (((0, 5, 0), one),)
+        assert pbw._yk_xj(ps, 3, 0) == (((0, 0, 3), one),)
+        assert calls == []
+        pbw._yk_xj(ps, 3, 4)
+        assert calls == [5]
+        pbw._yk_xj(ps, 2, 30)
+        assert calls == [5, ps.l]
+    finally:
+        pbw._yk_xj.cache_clear()
 
 
 def test_product_canonical_no_zero_terms():

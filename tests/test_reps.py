@@ -24,16 +24,17 @@ from qheisenberg.linalg import (FieldMatrix, SparseEchelon, algebra_span_dim,
                                 is_invertible, left_kernel, matrix_hom_space,
                                 row_reduce, spin)
 from qheisenberg.reps import (KIND_ONE_DIM, KIND_QPLANE_THETA, KIND_QPLANE_Z,
-                              KIND_V1, KIND_V2, KIND_V3, THETA_TORSION,
-                              Z_TORSION, MatrixRep, ModuleDescriptor,
-                              build_from_descriptor, build_one_dim,
+                              KIND_SCALARS, KIND_V1, KIND_V2, KIND_V3,
+                              THETA_TORSION, Z_TORSION, MatrixRep,
+                              ModuleDescriptor, build_from_descriptor,
+                              build_one_dim,
                               build_qplane, build_v1, build_v2, build_v3,
                               classify, direct_sum, find_intertwiner,
-                              intertwiner, is_simple, iso_test, span_dim,
-                              theta_matrix, verify_relations,
-                              weight_certificate)
-from qheisenberg.linalg import _spin_mod_p
-from qheisenberg.reps import _spin_finds_submodule
+                              intertwiner, is_simple, iso_test,
+                              module_dimension, span_dim, theta_matrix,
+                              verify_relations)
+from qheisenberg.linalg import (_certify_simple, _norton, _refined_weights,
+                                _spin_mod_p)
 
 from matrix_helpers import is_scalar, joint_weights, matrix_power
 
@@ -281,11 +282,11 @@ class TestModuleMemo:
         rep = build_v1(P23, 2, 3, 5)
         calls = []
 
-        def counted(r):
-            calls.append(r)
-            return weight_certificate(r)
+        def counted(gens, extra):
+            calls.append(gens)
+            return _certify_simple(gens, extra)
 
-        monkeypatch.setattr("qheisenberg.reps.weight_certificate", counted)
+        monkeypatch.setattr("qheisenberg.reps._certify_simple", counted)
         assert is_simple(rep)
         classify(rep)
         assert span_dim(rep) == rep.d ** 2
@@ -720,7 +721,20 @@ class TestClassify:
         (direct_sum(build_v1(P23, 1, 2, 3), build_one_dim(P23, 2, 0, 0)),
          "classify torsionfree, dimension 7: z or theta acts neither by zero "
          "nor invertibly"),
-    ], ids=["both_vanish", "neither_zero_nor_invertible"])
+        (direct_sum(build_qplane(P23, Z_TORSION, 2, 3),
+                    build_qplane(P23, Z_TORSION, 2, 3)),
+         "z-torsion module of dimension 6, expected 3"),
+        (direct_sum(build_qplane(P23, THETA_TORSION, 2, 3),
+                    build_qplane(P23, THETA_TORSION, 2, 3)),
+         "theta-torsion module of dimension 4, expected 2"),
+        (direct_sum(build_v1(P23, 2, 3, 5), build_v1(P23, 2, 3, 5)),
+         "x-invertible module of dimension 12, expected 6"),
+        (direct_sum(build_v2(P23, 2, 3), build_v2(P23, 2, 3)),
+         "y-invertible module of dimension 12, expected 6"),
+        (direct_sum(build_v3(P23, 3), build_v3(P23, 3)),
+         "x,y-nilpotent module of dimension 12, expected 6"),
+    ], ids=["both_vanish", "neither_zero_nor_invertible", "z_torsion",
+            "theta_torsion", "x_invertible", "y_invertible", "nilpotent"])
     def test_classify_error_names_stage_past_span(self, monkeypatch, rep,
                                                   message):
         # these direct sums are not simple; a simplicity decision patched
@@ -1187,6 +1201,21 @@ class TestSerialization:
         back = MatrixRep.from_json(data)
         assert back == rep
 
+    def test_module_dimension_is_the_built_dimension(self):
+        seen = 0
+        for params in all_params(12):
+            two, three, five = (CycNumber.from_rational(params.conductor, v)
+                                for v in (2, 3, 5))
+            for kind in KIND_SCALARS:
+                desc = ModuleDescriptor(kind, mu=two, lam=three, gamma=five)
+                assert (module_dimension(params, kind)
+                        == build_from_descriptor(params, desc).d), \
+                    (params.m, params.n, params.k1, params.k2, kind)
+                seen += 1
+        assert seen > 500
+        with pytest.raises(ValueError, match="unknown descriptor kind"):
+            module_dimension(P23, "V4")
+
     def test_descriptor_round_trip(self):
         desc = ModuleDescriptor(KIND_V2, mu=zeta_power(6, 1),
                                 lam=CycNumber.from_rational(6, 2))
@@ -1212,7 +1241,7 @@ class TestCertificates:
                 rep = direct_sum(a, b)
                 assert not exact_simple(rep)
                 # the spin of e_0 stays inside the first summand
-                assert _spin_finds_submodule(gens(rep), rep.d)
+                assert _certify_simple(gens(rep), []) is None
                 assert not is_simple(rep)
 
     def test_decision_matches_exact_span_on_dense_conjugates(self):
@@ -1365,11 +1394,9 @@ class TestCertificates:
             return exact_span(mats)
 
         monkeypatch.setattr("qheisenberg.reps.algebra_span_dim", counted)
-        # the ladder reads _spin_mod_p by the name reps imports; the block
-        # split of algebra_span_dim reads linalg's
-        for where in ("qheisenberg.reps._spin_mod_p",
-                      "qheisenberg.linalg._spin_mod_p"):
-            monkeypatch.setattr(where, lambda gens, seed, full: 0)
+        # the ladder of the module and of each block reads linalg's
+        monkeypatch.setattr("qheisenberg.linalg._spin_mod_p",
+                            lambda gens, seed, full: 0)
         monkeypatch.setattr(modular, "independent",
                             lambda rows, conductor, full=None: [])
         v1 = build_v1(P23, zeta_power(6, 1), 2, 3)
@@ -1431,7 +1458,7 @@ class TestCertificates:
             prime = modular._field(6)[0]
             no_reduction = reps.build_v1(params, Fraction(1, prime), 2, 3)
             print(reps.is_simple(no_reduction), len(calls))
-            reps._spin_mod_p = linalg._spin_mod_p = lambda gens, seed, full: 0
+            linalg._spin_mod_p = lambda gens, seed, full: 0
             modular.independent = lambda rows, conductor, full=None: []
             v1 = reps.build_v1(params, 1, 2, 3)
             other = reps.build_v1(params, 1, 3, 3)
@@ -1846,13 +1873,22 @@ class TestWeightCertificates:
         assert _spin_mod_p(gens(rep), {0: 1}, 6) == 6
         assert _spin_mod_p([g.transpose() for g in gens(rep)], {0: 1}, 6) == 3
         assert algebra_span_dim(gens(rep)) == 27
-        assert weight_certificate(rep) is False
+        weights, = _refined_weights([gens(rep) + [theta_matrix(rep)]])
+        assert _norton(gens(rep), weights) is False
+        # the exact spin of e_0 is the ladder's top half
+        assert _certify_simple(gens(rep), [theta_matrix(rep)]) is None
         assert not is_simple(rep)
 
     def test_certificate_needs_a_diagonal_matrix(self):
+        # a dense basis tells no two basis vectors apart and forms no
+        # theta; V1 in its weight basis passes Norton's test with theta
         rep = integer_conjugate(build_v1(P23, 2, 3, 5), random.Random(40))
-        assert weight_certificate(rep) is None
-        assert weight_certificate(build_v1(P23, 2, 3, 5)) is True
+        weights, = _refined_weights([gens(rep)])
+        assert _norton(gens(rep), weights) is None
+        assert span_dim(rep) == 36 and "_theta" not in rep.__dict__
+        v1 = build_v1(P23, 2, 3, 5)
+        weights, = _refined_weights([gens(v1) + [theta_matrix(v1)]])
+        assert _norton(gens(v1), weights) is True
 
     def test_property_is_simple_matches_exact_span(self):
         # The canonical builds are checked by test_simple_sweep.  Twins are
@@ -2096,6 +2132,24 @@ class TestBlockSplit:
         for params, rep, span, simple_blocks in split_cases():
             if simple_blocks:
                 assert algebra_span_dim(gens(rep)) == span
+
+    def test_reducible_block_is_spun_exactly_first(self, monkeypatch):
+        # the ladder block is connected, in a weight basis, and not simple:
+        # the exact spin of e_0 shows its submodule, so the block is given
+        # up with no spin of its b x b identity mod P
+        params = derive_params(2, 6, 1, 1)
+        rep = summed(ladder(params, CycNumber.from_rational(params.conductor, 2)),
+                     build_v1(params, 2, 3, 5))
+        spin_mod_p = linalg._spin_mod_p
+        fulls = []
+
+        def counted(mats, seed, full):
+            fulls.append((mats[0].shape[0], full))
+            return spin_mod_p(mats, seed, full)
+
+        monkeypatch.setattr(linalg, "_spin_mod_p", counted)
+        assert algebra_span_dim(gens(rep)) == spin_span(gens(rep))
+        assert fulls and all(full == b for b, full in fulls)
 
     def test_connected_input_solves_no_hom_space(self, monkeypatch):
         # one block: the exact spin of the identity runs as before
