@@ -4,8 +4,8 @@ Subcommands fall into three groups: numeric invariants of a parameter
 choice (pideg, order, scan), exact algebra on normal forms (center,
 normal-form), and module workflows (module-build, module-verify,
 module-simple, module-classify, iso).  Every command accepts
---format json (default) or --format table; JSON key order is fixed so
-output can be compared byte for byte.
+--format json (default) or --format table; JSON output is byte for byte
+json.dumps(payload, indent=2) with a fixed key order.
 
 Exit codes: 0 on success, 1 for domain errors (inadmissible parameters,
 unreadable module files, non-simple input where a simple module is
@@ -35,10 +35,10 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
-from .arith import (AlgebraParams, InvalidParameters, derive_params, ord_pq,
-                    pi_degree, pi_degree_snf, relation_matrix, scan_orders,
-                    smith_normal_form)
+from .arith import (AlgebraParams, InvalidParameters, _pi_degree_snf,
+                    derive_params, ord_pq, pi_degree, scan_orders)
 from .cyclotomic import ConductorMismatch, CycNumber, euler_phi, zeta_power
 from .pbw import PbwElement, center_generators, theta
 from .reps import (KIND_ONE_DIM, KIND_SCALARS, MatrixRep, ModuleDescriptor,
@@ -224,9 +224,55 @@ def parse_scalar(src: str, params: AlgebraParams) -> CycNumber:
 
 # --- rendering ---------------------------------------------------------------
 
+_JSON_ATOMS = {True: "true", False: "false", None: "null"}
+
+
+def _write_json(value, out: list[str], indent: str, prefix: str) -> None:
+    # append prefix (the separator or key before value) and value's text;
+    # indent is the newline and indentation of the line value starts on
+    kind = type(value)
+    if kind is str:
+        out.append(prefix + _json_str(value))
+    elif kind is int:
+        out.append(prefix + int.__repr__(value))
+    elif kind is dict or kind is list:
+        opening, closing = "{}" if kind is dict else "[]"
+        if not value:
+            out.append(prefix + opening + closing)
+            return
+        inner = indent + "  "
+        comma = "," + inner
+        sep = prefix + opening + inner
+        if kind is dict:
+            for key, item in value.items():
+                _write_json(item, out, inner, sep + _json_str(key) + ": ")
+                sep = comma
+        else:
+            for item in value:
+                _write_json(item, out, inner, sep)
+                sep = comma
+        out.append(indent + closing)
+    elif kind is bool or value is None:
+        out.append(prefix + _JSON_ATOMS[value])
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _json_text(payload) -> str:
+    """json.dumps(payload, indent=2), for the types handlers return.
+
+    These are dicts with str keys, lists, str, int, bool and None; any
+    other type raises TypeError, and an int past the interpreter's digit
+    limit raises ValueError, as in json.dumps.
+    """
+    out: list[str] = []
+    _write_json(payload, out, "\n", "")
+    return "".join(out)
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool) or value is None:
-        return json.dumps(value)
+        return _JSON_ATOMS[value]
     return str(value)
 
 
@@ -298,10 +344,10 @@ def _params_from(args) -> AlgebraParams:
 
 def _cmd_pideg(args):
     params = _params_from(args)
-    diag = smith_normal_form(relation_matrix(params))
+    pideg_snf, diag = _pi_degree_snf(params)
     payload = {"l": params.l,
                "pideg_theorem": pi_degree(params.m, params.n),
-               "pideg_snf": pi_degree_snf(params),
+               "pideg_snf": pideg_snf,
                "invariant_factors": diag}
     return payload, lambda: [
         f"l: {params.l}", f"pideg_theorem: {payload['pideg_theorem']}",
@@ -446,15 +492,18 @@ def _add_descriptor_options(sp, suffix=""):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The qheis parser; its `commands` maps each command to its subparser."""
     parser = argparse.ArgumentParser(
         prog="qheis",
         description="Exact computations with a two-parameter quantum "
                     "Heisenberg algebra at roots of unity.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
+    parser.commands = {}
 
     def add(name, help_text):
-        sp = sub.add_parser(name, help=help_text, description=help_text)
+        sp = parser.commands[name] = sub.add_parser(
+            name, help=help_text, description=help_text)
         sp.add_argument("--format", choices=("json", "table"),
                         default="json", help="output format")
         return sp
@@ -503,6 +552,20 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    # parse_args(argv), calling the subparser of a leading command directly
+    # as the subparsers action would, with no pass of the top-level parser
+    parser = _shared_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
@@ -510,14 +573,14 @@ def main(argv=None) -> int:
     lines, which are only formatted then.
     """
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         if [] in vars(args).values():  # Python 3.11's argparse: --opt=-- is []
             _shared_parser().error("an option given as --opt=-- has no value")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         payload, lines = _HANDLERS[args.command](args)
-        text = (json.dumps(payload, indent=2) if args.format == "json"
+        text = (_json_text(payload) if args.format == "json"
                 else "\n".join(lines()))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

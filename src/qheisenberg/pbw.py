@@ -49,16 +49,7 @@ def pq_number(params: AlgebraParams, k: int) -> CycNumber:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    return _pq_numbers(params, k % params.l + 1)[-1]
-
-
-def _pq_numbers(params: AlgebraParams, count: int) -> list[CycNumber]:
-    """[0]_{p,q}, ..., [count-1]_{p,q}, each from the last: [k+1] = q^k + p^-1 [k]."""
-    p_inv = params.power(-1, 0)
-    out = [CycNumber.zero(params.conductor)]
-    for k in range(count - 1):
-        out.append(params.power(0, k) + p_inv * out[k])
-    return out
+    return params.pq_numbers[k % params.l]
 
 
 class PbwElement:
@@ -261,7 +252,7 @@ def generators(params: AlgebraParams) -> tuple[PbwElement, PbwElement, PbwElemen
 def _yk_xj(params: AlgebraParams, k: int, j: int):
     """Normal form of y^k x^j as a tuple of ((i, j, k), coeff) items.
 
-    Closed form, with u = (pq)^-1 and [i] from one `_pq_numbers` list:
+    Closed form, with u = (pq)^-1 and [i] read from `params.pq_numbers`:
 
         y^k x^j = sum over t of  q^(j(k-t)) p^(t(j-t)) B(k, t) [j][j-1]...[j-t+1]
                                  z^t x^(j-t) y^(k-t),
@@ -282,10 +273,9 @@ def _yk_xj(params: AlgebraParams, k: int, j: int):
             binom[t] = binom[t - 1] + params.power(-t, -t) * binom[t]
     out = []
     falling = CycNumber.one(cond)
-    numbers = _pq_numbers(params, min(j + 1, params.l)) if top else ()
     for t in range(top + 1):
         if t:
-            falling = falling * numbers[(j - t + 1) % params.l]
+            falling = falling * params.pq_numbers[(j - t + 1) % params.l]
         cf = params.power(t * (j - t), j * (k - t)) * binom[t] * falling
         if not cf.is_zero():
             out.append(((t, j - t, k - t), cf))

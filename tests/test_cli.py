@@ -750,6 +750,96 @@ class TestTableFormat:
         assert len(built) == 1
 
 
+# --- one dispatch and one JSON writer: output as parse_args and json.dumps ---
+
+_PAIR = ["--m", "2", "--n", "3"]
+_DISPATCH_CASES = [
+    [], ["-h"], ["--help"], ["bogus"], ["--", "order", *_PAIR],
+    ["pideg", "-h"], ["pideg", "--he"], ["order", *_PAIR, "-h"],
+    ["pideg", *_PAIR, "--bogus"], ["pideg", *_PAIR, "extra"],
+    ["order", *_PAIR, "--", "extra"], ["order", "--m=2", "--n", "3"],
+    ["pideg", *_PAIR, "--for", "table"], ["order", *_PAIR, "--format=table"],
+    ["order", *_PAIR, "--format", "xml"], ["normal-form", *_PAIR, "--", "-x"],
+    ["normal-form", *_PAIR, "-x"], ["normal-form", *_PAIR, "x", "--", "y"],
+    ["module-build", *_PAIR, "--kind", "OneDim", "--mu=--", "--lam=1",
+     "--gamma=1"],
+    ["--format", "json", "pideg", *_PAIR], ["-h", "pideg"],
+    ["order", "--m", "2", "--m", "4", "--n", "3"], ["order", "--m", "2", "--n"],
+    ["order"], ["ord", *_PAIR], ["scan", *_PAIR, "--k1", "1"],
+    ["order", "--m", "1", "--n", "1"], ["pideg", "--m", "4", "--n", "6"],
+    ["iso", *_PAIR, "--kind", "V3", "--lam", "1", "--lam2", "1",
+     "--format", "table"],
+]
+
+
+def _run_main(argv):
+    out = io.StringIO()
+    code, err = _run_main_with_watchdog(argv, out)
+    return code, out.getvalue(), err
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("argv", _DISPATCH_CASES,
+                             ids=[" ".join(a) or "empty" for a in _DISPATCH_CASES])
+    def test_matches_top_level_parse_args(self, argv, monkeypatch):
+        # main calls a command's subparser directly; the reference parses
+        # with the whole parser, as argparse's subparsers action does
+        got = _run_main(argv)
+        monkeypatch.setattr(cli, "_parse_args",
+                            lambda a: build_parser().parse_args(a))
+        assert got == _run_main(argv)
+
+    def test_corpus_reaches_every_exit_code(self):
+        codes = {_run_main(argv)[0] for argv in _DISPATCH_CASES}
+        assert codes == {0, 1, 2}
+
+
+_JSON_TEXT = st.text(max_size=6) | st.sampled_from(
+    ["", '"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é€𝄞",
+     "\ud800", "key: value, {}"])
+_JSON_LEAF = (st.none() | st.booleans() | st.integers() | _JSON_TEXT
+              | st.integers(min_value=10 ** 40) | st.integers(max_value=-10 ** 40))
+_JSON_PAYLOAD = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=40)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(payload=_JSON_PAYLOAD)
+    def test_matches_json_dumps(self, payload):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+    def test_deep_nesting_and_empty_containers(self):
+        payload = {"leaf": [[], {}, [{}], {"": []}]}
+        for depth in range(300):
+            payload = [payload] if depth % 2 else {"level": payload, "n": depth}
+        assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize("payload", [
+        Fraction(1, 2), Fraction(1), 1.0, [0.5], {"a": [Fraction(1)]}, (1,),
+        {1: "key not a string"},
+    ], ids=["fraction", "integral_fraction", "float", "float_in_list",
+            "nested_fraction", "tuple", "int_key"])
+    def test_other_types_raise_type_error(self, payload):
+        with pytest.raises(TypeError):
+            cli._json_text(payload)
+
+    def test_integer_beyond_digit_limit_is_one_error_line(self, monkeypatch):
+        monkeypatch.setitem(cli._HANDLERS, "order",
+                            lambda args: ({"ord_pq": 10 ** 5000}, list))
+        limit = sys.get_int_max_str_digits()
+        assert _run_main(["order", *_PAIR]) == (
+            1, "", f"error: integer with more than {limit} digits\n")
+
+    def test_table_atoms_are_json_atoms(self):
+        for value in (True, False, None):
+            assert cli._fmt(value) == json.dumps(value)
+        assert cli._fmt(1) == "1" and cli._fmt("V1") == "V1"
+
+
 # --- fuzzing: every input ends in an exit code, never a traceback ------------
 
 _FUZZ_TOKENS = list("xyzg0123456789^*+-() ") + ["theta"]

@@ -26,7 +26,7 @@ from qheisenberg.pbw import (
     product_via_rewriting,
     theta,
 )
-from qheisenberg.pbw import _pq_numbers, _yk_xj
+from qheisenberg.pbw import _yk_xj
 
 PS23 = derive_params(2, 3, 1, 1)
 PS44 = derive_params(4, 4, 1, 1)
@@ -120,9 +120,9 @@ def test_pq_number():
 
 
 def test_running_pq_numbers_match_pq_number():
-    # the builders' list [0], ..., [l], one from the last, and pq_number,
-    # both against the defining sum of q^i p^-(k-1-i) over 0 <= i < k, at
-    # every parameter set with l <= 24
+    # the table [0], ..., [l-1], one from the last, and pq_number up to
+    # [l] = [0], both against the defining sum of q^i p^-(k-1-i) over
+    # 0 <= i < k, at every parameter set with l <= 24
     seen = 0
     for m in range(1, 25):
         for n in range(1, 25):
@@ -134,32 +134,28 @@ def test_running_pq_numbers_match_pq_number():
                 sums = [sum((ps.power(-(k - 1 - i), i) for i in range(k)),
                             CycNumber.zero(ps.conductor))
                         for k in range(ps.l + 1)]
-                numbers = _pq_numbers(ps, ps.l + 1)
-                assert len(numbers) == ps.l + 1
-                assert numbers == sums
+                assert ps.pq_numbers == tuple(sums[:-1])
                 assert [pq_number(ps, k) for k in range(ps.l + 1)] == sums
                 seen += 1
     assert seen > 1000
 
 
-def test_reordering_reads_one_list_of_pq_numbers(monkeypatch):
-    # y^k x^j needs [j], [j-1], ... only when a term z^t with t >= 1 occurs
-    calls = []
-    numbers = pbw._pq_numbers
-    monkeypatch.setattr(pbw, "_pq_numbers",
-                        lambda params, count: calls.append(count)
-                        or numbers(params, count))
-    ps = derive_params(4, 6, 1, 1)
+def test_reordering_reads_one_list_of_pq_numbers():
+    # y^k x^j needs [j], [j-1], ... only when a term z^t with t >= 1
+    # occurs; the table is built then, once per parameter set, and every
+    # later reordering reads that one table
+    ps = dataclasses.replace(derive_params(4, 6, 1, 1))  # no table yet
     pbw._yk_xj.cache_clear()
     try:
         one = CycNumber.one(ps.conductor)
         assert pbw._yk_xj(ps, 0, 5) == (((0, 5, 0), one),)
         assert pbw._yk_xj(ps, 3, 0) == (((0, 0, 3), one),)
-        assert calls == []
+        assert "pq_numbers" not in vars(ps)
         pbw._yk_xj(ps, 3, 4)
-        assert calls == [5]
+        table = vars(ps)["pq_numbers"]
+        assert len(table) == ps.l
         pbw._yk_xj(ps, 2, 30)
-        assert calls == [5, ps.l]
+        assert ps.pq_numbers is table
     finally:
         pbw._yk_xj.cache_clear()
 
