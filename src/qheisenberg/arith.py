@@ -76,14 +76,19 @@ class AlgebraParams:
         return zeta_power(self.conductor, self.conductor // self.l
                           * (a * self.s1 * self.k1 + b * self.s2 * self.k2))
 
+    def pq_numbers(self, count: int) -> list[CycNumber]:
+        """This parameter set's one read-only list of [k]_{p,q} (`pbw.pq_number`),
+        grown to at least count entries by [k+1] = q^k + p^-1 [k]."""
+        out = self._pq_list
+        if len(out) < count:
+            p_inv = self.power(-1, 0)
+            for k in range(len(out) - 1, count - 1):
+                out.append(self.power(0, k) + p_inv * out[k])
+        return out
+
     @functools.cached_property
-    def pq_numbers(self) -> tuple[CycNumber, ...]:
-        """[0]_{p,q}, ..., [l-1]_{p,q} (`pbw.pq_number`): [k+1] = q^k + p^-1 [k]."""
-        p_inv = self.power(-1, 0)
-        out = [CycNumber.zero(self.conductor)]
-        for k in range(self.l - 1):
-            out.append(self.power(0, k) + p_inv * out[k])
-        return tuple(out)
+    def _pq_list(self) -> list[CycNumber]:
+        return [CycNumber.zero(self.conductor)]
 
     def to_json(self) -> dict:
         data = {"m": self.m, "n": self.n, "k1": self.k1, "k2": self.k2}
@@ -294,11 +299,6 @@ def relation_matrix(params: AlgebraParams) -> list[list[int]]:
 
 def pi_degree_snf(params: AlgebraParams) -> int:
     """PI degree l / gcd(h1, l), h1 = first invariant factor of the twist matrix."""
-    return _pi_degree_snf(params)[0]
-
-
-def _pi_degree_snf(params: AlgebraParams) -> tuple[int, list[int]]:
-    # pi_degree_snf(params) and the invariant factors it was read from
     diag = smith_normal_form(relation_matrix(params))
     h1 = diag[0]
     # the 3x3 twist matrix always has invariant factors (h1, h1, 0)
@@ -311,7 +311,7 @@ def _pi_degree_snf(params: AlgebraParams) -> tuple[int, list[int]]:
         raise ArithmeticError(
             f"pi_degree_snf(m={params.m}, n={params.n}, k1={params.k1}, "
             f"k2={params.k2}): first invariant factor {h1} != gcd {expected}")
-    return params.l // math.gcd(h1, params.l), diag
+    return params.l // math.gcd(h1, params.l)
 
 
 def pi_degree(m: int, n: int) -> int:

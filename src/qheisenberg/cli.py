@@ -37,8 +37,9 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .arith import (AlgebraParams, InvalidParameters, _pi_degree_snf,
-                    derive_params, ord_pq, pi_degree, scan_orders)
+from .arith import (AlgebraParams, InvalidParameters, derive_params, ord_pq,
+                    pi_degree, pi_degree_snf, relation_matrix, scan_orders,
+                    smith_normal_form)
 from .cyclotomic import ConductorMismatch, CycNumber, euler_phi, zeta_power
 from .pbw import PbwElement, center_generators, theta
 from .reps import (KIND_ONE_DIM, KIND_SCALARS, MatrixRep, ModuleDescriptor,
@@ -344,10 +345,10 @@ def _params_from(args) -> AlgebraParams:
 
 def _cmd_pideg(args):
     params = _params_from(args)
-    pideg_snf, diag = _pi_degree_snf(params)
+    diag = smith_normal_form(relation_matrix(params))
     payload = {"l": params.l,
                "pideg_theorem": pi_degree(params.m, params.n),
-               "pideg_snf": pideg_snf,
+               "pideg_snf": pi_degree_snf(params),
                "invariant_factors": diag}
     return payload, lambda: [
         f"l: {params.l}", f"pideg_theorem: {payload['pideg_theorem']}",
@@ -499,11 +500,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "Heisenberg algebra at roots of unity.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
-    parser.commands = {}
+    parser.commands = sub.choices
 
     def add(name, help_text):
-        sp = parser.commands[name] = sub.add_parser(
-            name, help=help_text, description=help_text)
+        sp = sub.add_parser(name, help=help_text, description=help_text)
         sp.add_argument("--format", choices=("json", "table"),
                         default="json", help="output format")
         return sp

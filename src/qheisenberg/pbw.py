@@ -49,7 +49,8 @@ def pq_number(params: AlgebraParams, k: int) -> CycNumber:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    return params.pq_numbers[k % params.l]
+    k %= params.l
+    return params.pq_numbers(k + 1)[k]
 
 
 class PbwElement:
@@ -273,9 +274,10 @@ def _yk_xj(params: AlgebraParams, k: int, j: int):
             binom[t] = binom[t - 1] + params.power(-t, -t) * binom[t]
     out = []
     falling = CycNumber.one(cond)
+    numbers = params.pq_numbers(min(j + 1, params.l)) if top else ()
     for t in range(top + 1):
         if t:
-            falling = falling * params.pq_numbers[(j - t + 1) % params.l]
+            falling = falling * numbers[(j - t + 1) % params.l]
         cf = params.power(t * (j - t), j * (k - t)) * binom[t] * falling
         if not cf.is_zero():
             out.append(((t, j - t, k - t), cf))

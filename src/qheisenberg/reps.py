@@ -183,7 +183,7 @@ def build_v2(params: AlgebraParams, mu, lam) -> MatrixRep:
     mu = _coerce_scalar(params, mu, "mu")
     lam = _coerce_scalar(params, lam, "lam")
     scale = mu.inverse() * lam
-    numbers = params.pq_numbers
+    numbers = params.pq_numbers(l)
     mz = FieldMatrix.diagonal([params.power(-k, 0) * lam for k in range(l)], cond)
     mx = FieldMatrix.from_entries(l, l, {(k, k - 1): scale * numbers[k]
                                          for k in range(1, l)}, cond)
@@ -201,7 +201,7 @@ def build_v3(params: AlgebraParams, lam) -> MatrixRep:
     cond = params.conductor
     lam = _coerce_scalar(params, lam, "lam")
     d = ord_formula(params.m, params.n, params.k1, params.k2)
-    numbers = params.pq_numbers
+    numbers = params.pq_numbers(d)
     mz = FieldMatrix.diagonal([params.power(-k, 0) * lam for k in range(d)], cond)
     mx = FieldMatrix.from_entries(d, d, {(k, k - 1): lam * numbers[k]
                                          for k in range(1, d)}, cond)

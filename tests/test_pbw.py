@@ -120,44 +120,57 @@ def test_pq_number():
 
 
 def test_running_pq_numbers_match_pq_number():
-    # the table [0], ..., [l-1], one from the last, and pq_number up to
-    # [l] = [0], both against the defining sum of q^i p^-(k-1-i) over
-    # 0 <= i < k, at every parameter set with l <= 24
+    # pq_number up to [l] = [0], which grows the list one entry at a time,
+    # and the list [0], ..., [l-1] it leaves, each from the last, both
+    # against the defining sum of q^i p^-(k-1-i) over 0 <= i < k, at
+    # every parameter set with l <= 24
     seen = 0
     for m in range(1, 25):
         for n in range(1, 25):
             if math.lcm(m, n) > 24:
                 continue
             for k1, k2 in valid_pairs(m, n):
-                ps = derive_params(m, n, k1, k2)
+                ps = dataclasses.replace(derive_params(m, n, k1, k2))
                 assert ps.l <= 24
                 sums = [sum((ps.power(-(k - 1 - i), i) for i in range(k)),
                             CycNumber.zero(ps.conductor))
                         for k in range(ps.l + 1)]
-                assert ps.pq_numbers == tuple(sums[:-1])
                 assert [pq_number(ps, k) for k in range(ps.l + 1)] == sums
+                assert ps.pq_numbers(ps.l) == sums[:-1]
                 seen += 1
     assert seen > 1000
 
 
 def test_reordering_reads_one_list_of_pq_numbers():
     # y^k x^j needs [j], [j-1], ... only when a term z^t with t >= 1
-    # occurs; the table is built then, once per parameter set, and every
-    # later reordering reads that one table
-    ps = dataclasses.replace(derive_params(4, 6, 1, 1))  # no table yet
+    # occurs; it then grows the parameter set's one list to no more than
+    # min(j + 1, l) entries, and every later reordering reads that list
+    ps = dataclasses.replace(derive_params(4, 6, 1, 1))  # no list yet
     pbw._yk_xj.cache_clear()
     try:
         one = CycNumber.one(ps.conductor)
         assert pbw._yk_xj(ps, 0, 5) == (((0, 5, 0), one),)
         assert pbw._yk_xj(ps, 3, 0) == (((0, 0, 3), one),)
-        assert "pq_numbers" not in vars(ps)
+        assert "_pq_list" not in vars(ps)
         pbw._yk_xj(ps, 3, 4)
-        table = vars(ps)["pq_numbers"]
-        assert len(table) == ps.l
+        numbers = vars(ps)["_pq_list"]
+        assert len(numbers) == 5
+        pbw._yk_xj(ps, 2, 3)
+        assert len(numbers) == 5
         pbw._yk_xj(ps, 2, 30)
-        assert ps.pq_numbers is table
+        assert len(numbers) == ps.l == 12
+        assert ps.pq_numbers(3) is numbers
     finally:
         pbw._yk_xj.cache_clear()
+
+
+def test_pq_number_builds_only_what_it_reads():
+    # [k] needs k % l + 1 entries of the list, not all l of them
+    ps = dataclasses.replace(derive_params(4, 6, 1, 1))
+    assert pq_number(ps, 1) == CycNumber.one(ps.conductor)
+    assert len(vars(ps)["_pq_list"]) == 2
+    assert pq_number(ps, 13) == pq_number(ps, 1)
+    assert len(vars(ps)["_pq_list"]) == 2
 
 
 def test_product_canonical_no_zero_terms():
